@@ -22,10 +22,11 @@
 //! * [`outbreak`] — §3's outbreak analysis: growth ratios around June 23
 //!   per federal state (NRW vs. the rest), the Gütersloh local check,
 //!   and the Berlin June-18 single-ISP check.
-//! * [`stream`] — the streaming fan-out driver: applies the §2 filter
-//!   once and feeds each matching record to every registered
-//!   [`FlowSink`](cwa_netflow::sink::FlowSink) consumer — all analyses
-//!   in **one** record pass, O(chunk) resident memory.
+//! * [`stream`] — the streaming analysis chain: a
+//!   [`FlowSink`](cwa_netflow::sink::FlowSink) that applies the §2
+//!   filter once per chunk and feeds the matching rows to its consumers
+//!   — all analyses in **one** record pass, O(chunk) resident memory,
+//!   one chain per shard merged with `absorb`.
 //! * [`windowed`] — the live view: wraps all four consumers in a
 //!   [`WindowedView`](windowed::WindowedView) that keeps cumulative
 //!   study-window state plus a sliding last-N-days window with tiered
@@ -60,7 +61,7 @@ pub use filter::FlowFilter;
 pub use geoloc::{GeoAttribution, GeoDayAccumulator, GeolocationPipeline};
 pub use outbreak::{OutbreakAccumulator, OutbreakAnalysis};
 pub use persistence::PersistenceAnalysis;
-pub use stream::{FanOut, StreamCounts};
+pub use stream::{Chain, Consumers, StreamCounts};
 pub use timeseries::HourlySeries;
 pub use windowed::{WindowConfig, WindowedSnapshot, WindowedView};
 pub use zipmap::ZipAreaMap;

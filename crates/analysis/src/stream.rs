@@ -1,17 +1,19 @@
-//! The streaming fan-out driver: one record pass, every consumer fed.
+//! The streaming analysis chain: one record pass, every consumer fed.
 //!
-//! [`FanOut`] is itself a [`FlowSink`], so it plugs directly into the
-//! producers' chunked emission (`PreparedSim::run_traffic` in
-//! `cwa-simnet`). It applies the §2 flow filter **once** per record and
-//! forwards each match to every registered consumer — the streaming
-//! replacement for the five-plus full scans the batch pipeline used to
-//! make (filter, hourly series, two geolocation windows, persistence,
-//! outbreak).
+//! [`Chain`] is a [`FlowSink`], so it plugs directly into the
+//! producers' chunked emission (`PreparedSim::run_traffic` and the
+//! sharded workers of `run_traffic_sharded` in `cwa-simnet`). It applies
+//! the §2 flow filter **once** per chunk and hands the matching rows to
+//! its [`Consumers`] — the streaming replacement for the five-plus full
+//! scans the batch pipeline makes (filter, hourly series, two
+//! geolocation windows, persistence, outbreak). The chain owns its
+//! consumers, so it is `Send` whenever they are and can live on a shard
+//! worker; partial chains merge with [`Chain::absorb`].
 //!
-//! The driver keeps plain `u64` counts (records in, records matched,
-//! per-consumer deliveries); the caller publishes them to an
-//! observability registry if one is attached. For the flight recorder
-//! the driver can carry a [`cwa_obs::StageLog`]: per-record filter and
+//! The chain keeps plain `u64` counts ([`StreamCounts`]: records in,
+//! records matched, per-consumer deliveries); the caller publishes them
+//! to an observability registry if one is attached. For the flight
+//! recorder the chain can carry a [`cwa_obs::StageLog`]: filter and
 //! per-consumer busy time is accumulated and flushed as coalesced trace
 //! spans at every producer checkpoint (export-hour boundary) — the
 //! record path never emits an event per record.
@@ -20,90 +22,94 @@ use std::sync::Arc;
 
 use cwa_netflow::flow::FlowRecord;
 use cwa_netflow::sink::{FlowChunk, FlowSink};
-use cwa_obs::{StageLog, TraceBuf, Tracer};
+use cwa_obs::{Counter, StageLog};
 
 use crate::filter::FlowFilter;
 
-/// One registered consumer with its delivery count.
-struct Consumer<'a> {
-    name: &'static str,
-    sink: &'a mut dyn FlowSink,
-    records: u64,
+/// The analysis state a [`Chain`] feeds with the records that pass its
+/// filter.
+pub trait Consumers {
+    /// Feeds one chunk of matching records. With `log`, each consumer's
+    /// busy time is added as one stage (see [`stage`]).
+    fn observe_chunk(&mut self, matching: &FlowChunk, log: Option<&mut StageLog>);
+
+    /// An export-hour boundary; `counts` are the chain's totals so far.
+    fn checkpoint(&mut self, _counts: &StreamCounts) {}
+
+    /// End of the stream.
+    fn finish(&mut self) {}
+
+    /// Merges another shard's consumers into these (same shape and
+    /// stream position required).
+    fn absorb(&mut self, other: &Self);
 }
 
-/// Filters the record stream once and fans each matching record out to
-/// every registered consumer, in registration order.
-pub struct FanOut<'a> {
+/// Runs `f` as stage `i` of `log`, timing it when a log is attached.
+pub fn stage(log: Option<&mut StageLog>, i: usize, f: impl FnOnce()) {
+    match log {
+        None => f(),
+        Some(log) => {
+            let t = log.now_ns();
+            f();
+            let now = log.now_ns();
+            log.add_stage(i, now.saturating_sub(t));
+        }
+    }
+}
+
+/// Filters the record stream once and hands the matching rows to its
+/// consumers.
+pub struct Chain<'a, C> {
     filter: &'a FlowFilter,
-    consumers: Vec<Consumer<'a>>,
-    records_in: u64,
-    records_matched: u64,
+    consumers: C,
+    counts: StreamCounts,
+    records_counter: Option<Arc<Counter>>,
     trace: Option<StageLog>,
-    /// Reusable selection scratch for the chunked path.
+    /// Reusable selection scratch.
     selection: FlowChunk,
 }
 
-impl<'a> FanOut<'a> {
-    /// Creates a driver applying `filter` to the incoming stream.
-    pub fn new(filter: &'a FlowFilter) -> Self {
-        FanOut {
+impl<'a, C: Consumers> Chain<'a, C> {
+    /// Creates a chain applying `filter` in front of `consumers`.
+    /// `names` label the consumers in the per-consumer delivery counts.
+    pub fn new(filter: &'a FlowFilter, consumers: C, names: &[&'static str]) -> Self {
+        Chain {
             filter,
-            consumers: Vec::new(),
-            records_in: 0,
-            records_matched: 0,
+            consumers,
+            counts: StreamCounts::zeroed(names),
+            records_counter: None,
             trace: None,
             selection: FlowChunk::default(),
         }
     }
 
-    /// Attaches flight-recorder stage timing, emitting onto `buf`. Call
-    /// *after* registering every consumer: the consumer names become the
-    /// per-stage trace span names. Observation-only — attaching a trace
-    /// never changes what consumers see.
-    pub fn attach_trace(&mut self, tracer: &Tracer, buf: Arc<TraceBuf>) {
-        let names: Vec<&str> = self.consumers.iter().map(|c| c.name).collect();
-        self.trace = Some(StageLog::new(tracer, buf, &names));
+    /// Adds every incoming record to `counter` as it arrives (live
+    /// throughput, e.g. a shard's `sim.shard.NN.records`).
+    pub fn with_records_counter(mut self, counter: Arc<Counter>) -> Self {
+        self.records_counter = Some(counter);
+        self
     }
 
-    /// Registers a named consumer. Matching records are delivered in
-    /// registration order.
-    pub fn register(&mut self, name: &'static str, sink: &'a mut dyn FlowSink) {
-        self.consumers.push(Consumer {
-            name,
-            sink,
-            records: 0,
-        });
+    /// Attaches flight-recorder stage timing. Observation-only —
+    /// tracing never changes what the consumers see.
+    pub fn with_trace(mut self, log: StageLog) -> Self {
+        self.trace = Some(log);
+        self
     }
 
-    /// Total records seen (before filtering).
-    pub fn records_in(&self) -> u64 {
-        self.records_in
+    /// Merges another shard's chain into this one: consumers and counts.
+    pub fn absorb(&mut self, other: &Self) {
+        self.consumers.absorb(&other.consumers);
+        self.counts.absorb(&other.counts);
     }
 
-    /// Records that passed the filter (each was delivered to every
-    /// consumer).
-    pub fn records_matched(&self) -> u64 {
-        self.records_matched
-    }
-
-    /// Per-consumer delivery counts, in registration order.
-    pub fn consumer_counts(&self) -> Vec<(&'static str, u64)> {
-        self.consumers.iter().map(|c| (c.name, c.records)).collect()
-    }
-
-    /// Snapshot of every driver counter as a mergeable value (the
-    /// per-shard form: each shard's driver contributes one snapshot,
-    /// merged totals equal a single driver over the combined stream).
-    pub fn counts(&self) -> StreamCounts {
-        StreamCounts {
-            records_in: self.records_in,
-            records_matched: self.records_matched,
-            consumers: self.consumer_counts(),
-        }
+    /// The consumers and the counts, once the stream has ended.
+    pub fn into_results(self) -> (C, StreamCounts) {
+        (self.consumers, self.counts)
     }
 }
 
-/// The fan-out driver's counters as plain mergeable data.
+/// The chain's counters as plain mergeable data.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StreamCounts {
     /// Total records seen (before filtering).
@@ -124,7 +130,7 @@ impl StreamCounts {
         }
     }
 
-    /// Merges another driver's counters into this one. Both must list
+    /// Merges another chain's counters into this one. Both must list
     /// the same consumers in the same registration order.
     pub fn absorb(&mut self, other: &StreamCounts) {
         assert_eq!(
@@ -146,71 +152,32 @@ impl StreamCounts {
     }
 }
 
-impl FlowSink for FanOut<'_> {
+impl<C: Consumers> FlowSink for Chain<'_, C> {
     fn observe(&mut self, rec: &FlowRecord) {
-        self.records_in += 1;
-        let Some(log) = &mut self.trace else {
-            // Untraced fast path: zero timing overhead.
-            if !self.filter.matches(rec) {
-                return;
-            }
-            self.records_matched += 1;
-            for c in &mut self.consumers {
-                c.sink.observe(rec);
-                c.records += 1;
-            }
-            return;
-        };
-        let mut t = log.now_ns();
-        let matched = self.filter.matches(rec);
-        let after_filter = log.now_ns();
-        log.add_filter(after_filter.saturating_sub(t));
-        if !matched {
-            return;
-        }
-        t = after_filter;
-        self.records_matched += 1;
-        for (i, c) in self.consumers.iter_mut().enumerate() {
-            c.sink.observe(rec);
-            c.records += 1;
-            let now = log.now_ns();
-            log.add_stage(i, now.saturating_sub(t));
-            t = now;
-        }
+        // Producers emit chunks; a single record is a one-row chunk.
+        let mut one = FlowChunk::with_capacity(1);
+        one.push(rec);
+        self.observe_chunk(&one);
     }
 
     fn observe_chunk(&mut self, chunk: &FlowChunk) {
-        self.records_in += chunk.len() as u64;
+        self.counts.records_in += chunk.len() as u64;
+        if let Some(counter) = &self.records_counter {
+            counter.add(chunk.len() as u64);
+        }
         let mut sel = std::mem::take(&mut self.selection);
-        match &mut self.trace {
-            None => {
-                // Untraced fast path: one columnar filter pass, one dyn
-                // call per consumer per chunk.
-                self.filter.select_into(chunk, &mut sel);
-                if !sel.is_empty() {
-                    self.records_matched += sel.len() as u64;
-                    for c in &mut self.consumers {
-                        c.sink.observe_chunk(&sel);
-                        c.records += sel.len() as u64;
-                    }
-                }
-            }
-            Some(log) => {
-                let mut t = log.now_ns();
-                self.filter.select_into(chunk, &mut sel);
-                let after_filter = log.now_ns();
-                log.add_filter(after_filter.saturating_sub(t));
-                if !sel.is_empty() {
-                    self.records_matched += sel.len() as u64;
-                    t = after_filter;
-                    for (i, c) in self.consumers.iter_mut().enumerate() {
-                        c.sink.observe_chunk(&sel);
-                        c.records += sel.len() as u64;
-                        let now = log.now_ns();
-                        log.add_stage(i, now.saturating_sub(t));
-                        t = now;
-                    }
-                }
+        let start = self.trace.as_ref().map(StageLog::now_ns);
+        self.filter.select_into(chunk, &mut sel);
+        if let (Some(log), Some(start)) = (&mut self.trace, start) {
+            let now = log.now_ns();
+            log.add_filter(now.saturating_sub(start));
+        }
+        if !sel.is_empty() {
+            let matched = sel.len() as u64;
+            self.counts.records_matched += matched;
+            self.consumers.observe_chunk(&sel, self.trace.as_mut());
+            for (_, count) in &mut self.counts.consumers {
+                *count += matched;
             }
         }
         self.selection = sel;
@@ -220,18 +187,14 @@ impl FlowSink for FanOut<'_> {
         if let Some(log) = &mut self.trace {
             log.flush();
         }
-        for c in &mut self.consumers {
-            c.sink.finish();
-        }
+        self.consumers.finish();
     }
 
     fn checkpoint(&mut self) {
         if let Some(log) = &mut self.trace {
             log.flush();
         }
-        for c in &mut self.consumers {
-            c.sink.checkpoint();
-        }
+        self.consumers.checkpoint(&self.counts);
     }
 }
 
@@ -241,7 +204,43 @@ mod tests {
     use crate::timeseries::HourlySeries;
     use cwa_netflow::flow::{FlowKey, Protocol};
     use cwa_netflow::sink::CountingSink;
+    use cwa_obs::Tracer;
     use std::net::Ipv4Addr;
+
+    /// Two consumers: the hourly series and a plain record counter.
+    struct Pair {
+        series: HourlySeries,
+        count: CountingSink,
+    }
+
+    const NAMES: [&str; 2] = ["timeseries", "count"];
+
+    impl Pair {
+        fn new() -> Self {
+            Pair {
+                series: HourlySeries::new(24),
+                count: CountingSink::default(),
+            }
+        }
+    }
+
+    impl Consumers for Pair {
+        fn observe_chunk(&mut self, matching: &FlowChunk, mut log: Option<&mut StageLog>) {
+            stage(log.as_deref_mut(), 0, || {
+                self.series.observe_chunk(matching)
+            });
+            stage(log, 1, || self.count.observe_chunk(matching));
+        }
+
+        fn finish(&mut self) {
+            self.count.finish();
+        }
+
+        fn absorb(&mut self, other: &Self) {
+            self.series.absorb(&other.series);
+            self.count.records += other.count.records;
+        }
+    }
 
     fn cdn_rec(hour: u64) -> FlowRecord {
         FlowRecord {
@@ -273,78 +272,73 @@ mod tests {
     #[test]
     fn filters_once_and_fans_out_to_all() {
         let f = filter();
-        let mut series = HourlySeries::new(24);
-        let mut count = CountingSink::default();
-        let mut fan = FanOut::new(&f);
-        fan.register("timeseries", &mut series);
-        fan.register("count", &mut count);
+        let mut chain = Chain::new(&f, Pair::new(), &NAMES);
+        chain.observe(&cdn_rec(0));
+        chain.observe(&background_rec());
+        chain.observe(&cdn_rec(3));
+        chain.finish();
 
-        fan.observe(&cdn_rec(0));
-        fan.observe(&background_rec());
-        fan.observe(&cdn_rec(3));
-        fan.finish();
-
-        assert_eq!(fan.records_in(), 3);
-        assert_eq!(fan.records_matched(), 2);
-        assert_eq!(fan.consumer_counts(), vec![("timeseries", 2), ("count", 2)]);
-        assert_eq!(series.total_flows(), 2);
-        assert_eq!(series.flows[3], 1);
-        assert_eq!(count.records, 2);
-        assert!(count.finished, "finish propagates to consumers");
+        assert_eq!(chain.counts.records_in, 3);
+        assert_eq!(chain.counts.records_matched, 2);
+        assert_eq!(
+            chain.counts.consumers,
+            vec![("timeseries", 2), ("count", 2)]
+        );
+        let (pair, _) = chain.into_results();
+        assert_eq!(pair.series.total_flows(), 2);
+        assert_eq!(pair.series.flows[3], 1);
+        assert_eq!(pair.count.records, 2);
+        assert!(pair.count.finished, "finish propagates to consumers");
     }
 
     #[test]
-    fn stream_counts_merge_like_one_driver() {
+    fn stream_counts_merge_like_one_chain() {
         let f = filter();
-        // One driver over the full stream …
-        let mut all = CountingSink::default();
-        let mut fan = FanOut::new(&f);
-        fan.register("count", &mut all);
-        fan.observe(&cdn_rec(0));
-        fan.observe(&background_rec());
-        fan.observe(&cdn_rec(3));
-        let single = fan.counts();
+        // One chain over the full stream …
+        let mut all = Chain::new(&f, Pair::new(), &NAMES);
+        all.observe(&cdn_rec(0));
+        all.observe(&background_rec());
+        all.observe(&cdn_rec(3));
 
-        // … equals two drivers over a split of it, merged.
-        let mut part_a = CountingSink::default();
-        let mut fan_a = FanOut::new(&f);
-        fan_a.register("count", &mut part_a);
-        fan_a.observe(&cdn_rec(0));
-        fan_a.observe(&background_rec());
-        let mut part_b = CountingSink::default();
-        let mut fan_b = FanOut::new(&f);
-        fan_b.register("count", &mut part_b);
-        fan_b.observe(&cdn_rec(3));
+        // … equals two chains over a split of it, merged.
+        let mut part_a = Chain::new(&f, Pair::new(), &NAMES);
+        part_a.observe(&cdn_rec(0));
+        part_a.observe(&background_rec());
+        let mut part_b = Chain::new(&f, Pair::new(), &NAMES);
+        part_b.observe(&cdn_rec(3));
 
-        let mut merged = StreamCounts::zeroed(&["count"]);
-        merged.absorb(&fan_a.counts());
-        merged.absorb(&fan_b.counts());
-        assert_eq!(merged, single);
+        let mut merged = StreamCounts::zeroed(&NAMES);
+        merged.absorb(&part_a.counts);
+        merged.absorb(&part_b.counts);
+        assert_eq!(merged, all.counts);
         assert_eq!(merged.records_in, 3);
         assert_eq!(merged.records_matched, 2);
+
+        part_a.absorb(&part_b);
+        assert_eq!(part_a.counts, all.counts);
+        assert_eq!(part_a.consumers.series, all.consumers.series);
     }
 
     #[test]
     fn tracing_is_observation_only_and_flushes_at_checkpoint() {
         let f = filter();
-        let mut series = HourlySeries::new(24);
-        let mut count = CountingSink::default();
-        let mut fan = FanOut::new(&f);
-        fan.register("timeseries", &mut series);
-        fan.register("count", &mut count);
         let tracer = Tracer::new();
-        fan.attach_trace(&tracer, tracer.thread(1, 2, "analysis"));
+        let log = StageLog::new(&tracer, tracer.thread(1, 2, "analysis"), &NAMES);
+        let mut chain = Chain::new(&f, Pair::new(), &NAMES).with_trace(log);
 
-        fan.observe(&cdn_rec(0));
-        fan.observe(&background_rec());
-        fan.observe(&cdn_rec(3));
-        fan.checkpoint();
-        fan.finish();
+        chain.observe(&cdn_rec(0));
+        chain.observe(&background_rec());
+        chain.observe(&cdn_rec(3));
+        chain.checkpoint();
+        chain.finish();
 
-        // Same counts as the untraced driver sees.
-        assert_eq!(fan.records_in(), 3);
-        assert_eq!(fan.records_matched(), 2);
-        assert_eq!(fan.consumer_counts(), vec![("timeseries", 2), ("count", 2)]);
+        // Same counts as the untraced chain sees.
+        assert_eq!(chain.counts.records_in, 3);
+        assert_eq!(chain.counts.records_matched, 2);
+        assert_eq!(
+            chain.counts.consumers,
+            vec![("timeseries", 2), ("count", 2)]
+        );
 
         let json = tracer.to_chrome_json();
         for name in ["\"filter\"", "\"analyze\"", "\"timeseries\"", "\"count\""] {
@@ -361,39 +355,29 @@ mod tests {
             chunk.push(r);
         }
 
-        // Per-record reference driver.
-        let mut ref_series = HourlySeries::new(24);
-        let mut ref_count = CountingSink::default();
-        let mut ref_fan = FanOut::new(&f);
-        ref_fan.register("timeseries", &mut ref_series);
-        ref_fan.register("count", &mut ref_count);
+        // Per-record reference chain.
+        let mut reference = Chain::new(&f, Pair::new(), &NAMES);
         for r in &records {
-            ref_fan.observe(r);
+            reference.observe(r);
         }
-        let ref_counts = ref_fan.counts();
 
-        // Chunked driver (untraced).
-        let mut series = HourlySeries::new(24);
-        let mut count = CountingSink::default();
-        let mut fan = FanOut::new(&f);
-        fan.register("timeseries", &mut series);
-        fan.register("count", &mut count);
-        fan.observe_chunk(&chunk);
-        assert_eq!(fan.counts(), ref_counts);
-        assert_eq!(series, ref_series);
-        assert_eq!(count.records, ref_count.records);
+        // Chunked chain (untraced).
+        let mut chained = Chain::new(&f, Pair::new(), &NAMES);
+        chained.observe_chunk(&chunk);
+        assert_eq!(chained.counts, reference.counts);
+        assert_eq!(chained.consumers.series, reference.consumers.series);
+        assert_eq!(
+            chained.consumers.count.records,
+            reference.consumers.count.records
+        );
 
-        // Chunked driver (traced): same counts, spans still named.
-        let mut series_t = HourlySeries::new(24);
-        let mut count_t = CountingSink::default();
-        let mut fan_t = FanOut::new(&f);
-        fan_t.register("timeseries", &mut series_t);
-        fan_t.register("count", &mut count_t);
+        // Chunked chain (traced): same counts, spans still named.
         let tracer = Tracer::new();
-        fan_t.attach_trace(&tracer, tracer.thread(1, 2, "analysis"));
-        fan_t.observe_chunk(&chunk);
-        fan_t.checkpoint();
-        assert_eq!(fan_t.counts(), ref_counts);
+        let log = StageLog::new(&tracer, tracer.thread(1, 2, "analysis"), &NAMES);
+        let mut traced = Chain::new(&f, Pair::new(), &NAMES).with_trace(log);
+        traced.observe_chunk(&chunk);
+        traced.checkpoint();
+        assert_eq!(traced.counts, reference.counts);
         let json = tracer.to_chrome_json();
         for name in ["\"filter\"", "\"timeseries\"", "\"count\""] {
             assert!(json.contains(name), "missing {name}");
@@ -403,12 +387,10 @@ mod tests {
     #[test]
     fn empty_stream_is_well_formed() {
         let f = filter();
-        let mut count = CountingSink::default();
-        let mut fan = FanOut::new(&f);
-        fan.register("count", &mut count);
-        fan.finish();
-        assert_eq!(fan.records_in(), 0);
-        assert_eq!(fan.records_matched(), 0);
-        assert!(count.finished);
+        let mut chain = Chain::new(&f, Pair::new(), &NAMES);
+        chain.finish();
+        assert_eq!(chain.counts.records_in, 0);
+        assert_eq!(chain.counts.records_matched, 0);
+        assert!(chain.consumers.count.finished);
     }
 }

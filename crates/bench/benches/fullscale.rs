@@ -369,7 +369,7 @@ fn replay_per_record(
 }
 
 /// Replays `records` through the chunked record path exactly as the
-/// collector + `FanOut` run it: memoized Crypto-PAn, records packed
+/// collector + analysis `Chain` run it: memoized Crypto-PAn, records packed
 /// into columnar chunks, one `select_into` per chunk, one
 /// `observe_chunk` per consumer per chunk. Returns (wall ms, matching).
 fn replay_chunked(

@@ -27,8 +27,6 @@ pub struct RunManifest {
     pub scale: f64,
     /// Simulated days.
     pub days: u32,
-    /// Whether the parallel vantage driver was used.
-    pub parallel: bool,
     /// SHA-256 (hex, first 16 chars) over the canonical JSON of the
     /// full study configuration.
     pub config_hash: String,
@@ -80,7 +78,7 @@ impl StudyReport {
 
     /// A copy with the wall-clock phase timings removed. Everything
     /// left is a pure function of the configuration, so two runs of
-    /// the same config — serial or parallel, metrics on or off —
+    /// the same config — any shard count, metrics on or off —
     /// compare equal (asserted by the integration tests).
     pub fn strip_volatile(&self) -> StudyReport {
         let mut report = self.clone();
@@ -247,7 +245,6 @@ mod tests {
                 seed: SimConfig::test_small().seed,
                 scale: SimConfig::test_small().scale,
                 days: 11,
-                parallel: false,
                 config_hash: "0123456789abcdef".to_owned(),
                 phase_timings: vec![PhaseTiming {
                     phase: "analysis.filter".to_owned(),

@@ -9,23 +9,22 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use cwa_obs::{Counter, LiveSnapshot, Registry, StageLog, TraceBuf, Tracer};
+use cwa_obs::{LiveSnapshot, Registry, StageLog, TraceBuf, Tracer};
 
 use cwa_analysis::figures::{Figure2, Figure3};
 use cwa_analysis::filter::FlowFilter;
 use cwa_analysis::geoloc::{GeoDayAccumulator, GeoResult, GeolocationPipeline, IspInfo};
 use cwa_analysis::outbreak::{OutbreakAccumulator, OutbreakAnalysis};
 use cwa_analysis::persistence::PersistenceAnalysis;
-use cwa_analysis::stream::{FanOut, StreamCounts};
+use cwa_analysis::stream::{stage, Chain, Consumers, StreamCounts};
 use cwa_analysis::timeseries::HourlySeries;
 use cwa_analysis::windowed::{WindowSnapshot, WindowedView};
 use cwa_epidemic::timeline::{JULY_24_DAY, MILESTONE_36H_HOUR};
 use cwa_epidemic::{AdoptionCurve, AdoptionModel, Scenario, Timeline};
-use cwa_geo::{AddressPlan, FederalState, GeoDb, Germany};
-use cwa_netflow::flow::FlowRecord;
+use cwa_geo::{AddressPlan, FederalState, Germany};
 use cwa_netflow::sink::{FlowChunk, FlowSink};
 use cwa_simnet::{
-    shard_keys, DnsStudy, IspSideEntry, PreparedSim, ShardKeyMode, SimConfig, SimOutput, Simulation,
+    DnsStudy, IspSideEntry, PreparedSim, ShardKeyMode, SimConfig, SimOutput, Simulation,
 };
 
 use crate::claims::{Cell, Claim, ClaimId};
@@ -212,7 +211,7 @@ fn analysis_isp_table(table: &HashMap<u32, IspSideEntry>) -> HashMap<u32, IspInf
 fn isp_resolver(
     isp_table: &HashMap<u32, IspInfo>,
     prefix_len: u8,
-) -> impl Fn(std::net::Ipv4Addr) -> Option<u8> + '_ {
+) -> impl Fn(Ipv4Addr) -> Option<u8> + Clone + '_ {
     move |client| {
         let net = cwa_geo::geodb::mask(client, prefix_len);
         isp_table.get(&net).map(|e| e.isp)
@@ -221,7 +220,7 @@ fn isp_resolver(
 
 /// Everything the analysis stages produce before claim evaluation. Both
 /// the batch path ([`Study::run`] / [`Study::analyze`]) and the
-/// streaming path ([`Study::run_streaming`]) fill this struct and hand
+/// streaming path ([`Study::run_sharded`]) fill this struct and hand
 /// it to the shared report assembly, which guarantees the two paths
 /// cannot diverge in how claims are derived.
 struct AnalysisProducts {
@@ -234,154 +233,61 @@ struct AnalysisProducts {
     total_records: u64,
 }
 
-/// The consumer names shared by the streaming and sharded paths (must
-/// stay in [`FanOut`] registration order so merged counts line up).
+impl AnalysisProducts {
+    /// The products of the four study accumulators after `days`
+    /// simulated days: Figure 3 covers the 10 days from release (June
+    /// 16–25), one accumulator serving both geo windows.
+    fn new(
+        series: HourlySeries,
+        geo: &GeoDayAccumulator<'_>,
+        persistence: PersistenceAnalysis,
+        outbreak: OutbreakAnalysis,
+        counts: &StreamCounts,
+        days: u32,
+    ) -> Self {
+        AnalysisProducts {
+            series,
+            geo_10day: geo.result(1, days.min(11)),
+            geo_day1: geo.result(1, 2),
+            persistence,
+            outbreak,
+            matching_flows: counts.records_matched,
+            total_records: counts.records_in,
+        }
+    }
+}
+
+/// The consumer names of every streaming chain, in the order
+/// [`Accumulators`] feeds them (merged counts line up by name).
 const CONSUMER_NAMES: [&str; 4] = ["timeseries", "geoloc", "persistence", "outbreak"];
 
-/// One shard's private analysis chain: the §2 filter applied once, then
-/// fan-out into shard-local partial accumulators — a [`FanOut`] without
-/// the `&mut dyn` borrows, so the whole chain is `Send` and can live on
-/// a crossbeam worker. Each worker fills its own `ShardConsumers`; the
-/// main thread then merges the partials with the accumulators' `absorb`
-/// operations, which is exact because every accumulator is a
-/// commutative monoid over records.
-struct ShardConsumers<'w> {
-    filter: &'w FlowFilter,
+/// The four study accumulators one streaming chain feeds. Every
+/// accumulator is a commutative monoid over records, so shard-local
+/// partials absorb-merge into exactly the single-pass result.
+struct Accumulators<'w, F> {
     series: HourlySeries,
     geo: GeoDayAccumulator<'w>,
     persistence: PersistenceAnalysis,
-    outbreak: OutbreakAccumulator<'w, Box<dyn Fn(Ipv4Addr) -> Option<u8> + Send + Sync + 'w>>,
-    counts: StreamCounts,
-    /// `sim.shard.<i>.records` — live per-shard record throughput.
-    records_counter: Option<Arc<Counter>>,
-    /// Flight-recorder stage timing onto this shard's "analysis" track,
-    /// flushed as coalesced filter/analyze spans at every export-hour
-    /// checkpoint.
-    trace: Option<StageLog>,
-    /// Reusable selection scratch for the chunked path.
-    selection: FlowChunk,
+    outbreak: OutbreakAccumulator<'w, F>,
 }
 
-impl FlowSink for ShardConsumers<'_> {
-    fn observe(&mut self, rec: &FlowRecord) {
-        self.counts.records_in += 1;
-        if let Some(counter) = &self.records_counter {
-            counter.add(1);
-        }
-        let Some(log) = &mut self.trace else {
-            // Untraced fast path: zero timing overhead.
-            if !self.filter.matches(rec) {
-                return;
-            }
-            self.counts.records_matched += 1;
-            self.series.observe(rec);
-            self.geo.observe(rec);
-            self.persistence.observe(rec);
-            self.outbreak.observe(rec);
-            for (_, count) in &mut self.counts.consumers {
-                *count += 1;
-            }
-            return;
-        };
-        let mut t = log.now_ns();
-        let matched = self.filter.matches(rec);
-        let now = log.now_ns();
-        log.add_filter(now.saturating_sub(t));
-        if !matched {
-            return;
-        }
-        t = now;
-        self.counts.records_matched += 1;
-        self.series.observe(rec);
-        let now = log.now_ns();
-        log.add_stage(0, now.saturating_sub(t));
-        t = now;
-        self.geo.observe(rec);
-        let now = log.now_ns();
-        log.add_stage(1, now.saturating_sub(t));
-        t = now;
-        self.persistence.observe(rec);
-        let now = log.now_ns();
-        log.add_stage(2, now.saturating_sub(t));
-        t = now;
-        self.outbreak.observe(rec);
-        let now = log.now_ns();
-        log.add_stage(3, now.saturating_sub(t));
-        for (_, count) in &mut self.counts.consumers {
-            *count += 1;
-        }
+impl<F: Fn(Ipv4Addr) -> Option<u8>> Consumers for Accumulators<'_, F> {
+    fn observe_chunk(&mut self, matching: &FlowChunk, mut log: Option<&mut StageLog>) {
+        stage(log.as_deref_mut(), 0, || {
+            self.series.observe_chunk(matching)
+        });
+        stage(log.as_deref_mut(), 1, || self.geo.observe_chunk(matching));
+        stage(log.as_deref_mut(), 2, || {
+            self.persistence.observe_chunk(matching)
+        });
+        stage(log, 3, || self.outbreak.observe_chunk(matching));
     }
 
-    fn observe_chunk(&mut self, chunk: &FlowChunk) {
-        self.counts.records_in += chunk.len() as u64;
-        if let Some(counter) = &self.records_counter {
-            counter.add(chunk.len() as u64);
-        }
-        let mut sel = std::mem::take(&mut self.selection);
-        match &mut self.trace {
-            None => {
-                // Untraced fast path: one filter pass and one dyn-free
-                // call per consumer per chunk.
-                self.filter.select_into(chunk, &mut sel);
-                if !sel.is_empty() {
-                    let matched = sel.len() as u64;
-                    self.counts.records_matched += matched;
-                    self.series.observe_chunk(&sel);
-                    self.geo.observe_chunk(&sel);
-                    self.persistence.observe_chunk(&sel);
-                    self.outbreak.observe_chunk(&sel);
-                    for (_, count) in &mut self.counts.consumers {
-                        *count += matched;
-                    }
-                }
-            }
-            Some(log) => {
-                let mut t = log.now_ns();
-                self.filter.select_into(chunk, &mut sel);
-                let now = log.now_ns();
-                log.add_filter(now.saturating_sub(t));
-                if !sel.is_empty() {
-                    let matched = sel.len() as u64;
-                    self.counts.records_matched += matched;
-                    t = now;
-                    self.series.observe_chunk(&sel);
-                    let now = log.now_ns();
-                    log.add_stage(0, now.saturating_sub(t));
-                    t = now;
-                    self.geo.observe_chunk(&sel);
-                    let now = log.now_ns();
-                    log.add_stage(1, now.saturating_sub(t));
-                    t = now;
-                    self.persistence.observe_chunk(&sel);
-                    let now = log.now_ns();
-                    log.add_stage(2, now.saturating_sub(t));
-                    t = now;
-                    self.outbreak.observe_chunk(&sel);
-                    let now = log.now_ns();
-                    log.add_stage(3, now.saturating_sub(t));
-                    for (_, count) in &mut self.counts.consumers {
-                        *count += matched;
-                    }
-                }
-            }
-        }
-        self.selection = sel;
-    }
-
-    fn finish(&mut self) {
-        if let Some(log) = &mut self.trace {
-            log.flush();
-        }
-        self.series.finish();
-        self.geo.finish();
-        self.persistence.finish();
-        self.outbreak.finish();
-    }
-
-    fn checkpoint(&mut self) {
-        if let Some(log) = &mut self.trace {
-            log.flush();
-        }
+    fn absorb(&mut self, other: &Self) {
+        self.series.absorb(&other.series);
+        self.geo.absorb(&other.geo);
+        self.persistence.absorb(&other.persistence);
+        self.outbreak.absorb(&other.outbreak);
     }
 }
 
@@ -422,23 +328,19 @@ impl<'a> ReportContext<'a> {
     }
 }
 
-/// One live consumer chain: the §2 filter applied once, feeding a
-/// [`WindowedView`] (the four study-tier accumulators plus the sliding
-/// window tiers). `Send` whenever the resolver is, so the sharded
-/// driver can run one per worker exactly like [`ShardConsumers`].
-struct LiveSink<'w, F> {
-    filter: &'w FlowFilter,
+/// The live chain's consumers: a [`WindowedView`] (the four study-tier
+/// accumulators plus the sliding window tiers) and the live driver's
+/// per-checkpoint hooks.
+struct LiveView<'w, F> {
     view: WindowedView<'w, F>,
-    counts: StreamCounts,
-    /// `sim.shard.<i>.records` — live per-shard record throughput
-    /// (sharded runs only).
-    records_counter: Option<Arc<Counter>>,
-    /// Reusable selection scratch for the chunked path.
-    selection: FlowChunk,
+    /// Wall-clock sleep per simulated export hour (serial runs only).
+    pace: Option<Duration>,
+    /// Interim publication after every export hour (serial runs only).
+    publisher: Option<LivePublisher<'w>>,
     /// Sharded interim publication: at every simulated day boundary the
     /// shard deposits a clone of its view and counts here, and a
     /// publisher thread merges the aligned fronts off the hot path. The
-    /// real sink is untouched, so the end-of-run merge (and therefore
+    /// chain itself is untouched, so the end-of-run merge (and therefore
     /// the final report bytes) cannot observe the difference.
     deposits: Option<Arc<Mutex<VecDeque<ShardDeposit<'w, F>>>>>,
 }
@@ -449,44 +351,15 @@ struct ShardDeposit<'w, F> {
     counts: StreamCounts,
 }
 
-impl<F> FlowSink for LiveSink<'_, F>
+impl<F> Consumers for LiveView<'_, F>
 where
     F: Fn(Ipv4Addr) -> Option<u8> + Clone,
 {
-    fn observe(&mut self, rec: &FlowRecord) {
-        self.counts.records_in += 1;
-        if let Some(counter) = &self.records_counter {
-            counter.add(1);
-        }
-        if !self.filter.matches(rec) {
-            return;
-        }
-        self.counts.records_matched += 1;
-        self.view.observe(rec);
-        for (_, count) in &mut self.counts.consumers {
-            *count += 1;
-        }
+    fn observe_chunk(&mut self, matching: &FlowChunk, log: Option<&mut StageLog>) {
+        stage(log, 0, || self.view.observe_chunk(matching));
     }
 
-    fn observe_chunk(&mut self, chunk: &FlowChunk) {
-        self.counts.records_in += chunk.len() as u64;
-        if let Some(counter) = &self.records_counter {
-            counter.add(chunk.len() as u64);
-        }
-        let mut sel = std::mem::take(&mut self.selection);
-        self.filter.select_into(chunk, &mut sel);
-        if !sel.is_empty() {
-            let matched = sel.len() as u64;
-            self.counts.records_matched += matched;
-            self.view.observe_chunk(&sel);
-            for (_, count) in &mut self.counts.consumers {
-                *count += matched;
-            }
-        }
-        self.selection = sel;
-    }
-
-    fn checkpoint(&mut self) {
+    fn checkpoint(&mut self, counts: &StreamCounts) {
         // Drives the view's day boundaries — one call per export hour,
         // identical across shards, which is what makes window eviction
         // commute with the merge.
@@ -503,10 +376,20 @@ where
                     .unwrap_or_else(|e| e.into_inner())
                     .push_back(ShardDeposit {
                         view: self.view.clone(),
-                        counts: self.counts.clone(),
+                        counts: counts.clone(),
                     });
             }
         }
+        if let Some(pace) = self.pace {
+            std::thread::sleep(pace);
+        }
+        if let Some(publisher) = &self.publisher {
+            publisher.tick(&self.view, counts);
+        }
+    }
+
+    fn absorb(&mut self, other: &Self) {
+        self.view.absorb(&other.view);
     }
 }
 
@@ -536,15 +419,14 @@ impl LivePublisher<'_> {
         crate::live::publish_figures(&self.live, &snap);
         if view.hours_seen() % 24 == 0 {
             let days = self.ctx.config.days;
-            let products = AnalysisProducts {
-                series: view.series.clone(),
-                geo_10day: view.geo.result(1, days.min(11)),
-                geo_day1: view.geo.result(1, 2),
-                persistence: view.persistence.clone(),
-                outbreak: view.outbreak.to_analysis(),
-                matching_flows: counts.records_matched,
-                total_records: counts.records_in,
-            };
+            let products = AnalysisProducts::new(
+                view.series.clone(),
+                &view.geo,
+                view.persistence.clone(),
+                view.outbreak.to_analysis(),
+                counts,
+                days,
+            );
             if let Ok(report) =
                 self.study
                     .assemble_report_ctx(&self.ctx, products, Vec::new(), false)
@@ -786,38 +668,6 @@ where
     true
 }
 
-/// Serial-driver wrapper adding wall-clock replay pacing and
-/// per-checkpoint publication on top of a [`LiveSink`].
-struct PacedLiveSink<'w, F> {
-    inner: LiveSink<'w, F>,
-    /// Wall-clock sleep per simulated export hour.
-    pace: Option<Duration>,
-    publisher: Option<LivePublisher<'w>>,
-}
-
-impl<F> FlowSink for PacedLiveSink<'_, F>
-where
-    F: Fn(Ipv4Addr) -> Option<u8> + Clone,
-{
-    fn observe(&mut self, rec: &FlowRecord) {
-        self.inner.observe(rec);
-    }
-
-    fn observe_chunk(&mut self, chunk: &FlowChunk) {
-        self.inner.observe_chunk(chunk);
-    }
-
-    fn checkpoint(&mut self) {
-        self.inner.checkpoint();
-        if let Some(pace) = self.pace {
-            std::thread::sleep(pace);
-        }
-        if let Some(publisher) = &self.publisher {
-            publisher.tick(&self.inner.view, &self.inner.counts);
-        }
-    }
-}
-
 impl Study {
     /// Creates a runner.
     pub fn new(config: StudyConfig) -> Self {
@@ -900,19 +750,8 @@ impl Study {
     /// scale is too small for any CWA flow to survive sampling.
     pub fn run(&self) -> Result<StudyReport, StudyError> {
         let started = Instant::now();
-        let mut simulation = Simulation::new(self.config.sim);
-        if let Some(registry) = &self.metrics {
-            simulation = simulation.with_metrics(Arc::clone(registry));
-        }
-        if let Some(tracer) = &self.trace {
-            simulation = simulation.with_trace(Arc::clone(tracer));
-        }
-        if let Some(capacity) = self.chunk_capacity {
-            simulation = simulation.with_chunk_capacity(capacity);
-        }
-        let sim = simulation.run();
-        let simulate = started.elapsed();
-        self.analyze_with_prelude(&sim, Some(simulate))
+        let sim = self.simulation().run();
+        self.analyze_with_prelude(&sim, Some(started.elapsed()))
     }
 
     /// Runs the analysis on an existing simulation output (lets callers
@@ -1026,531 +865,194 @@ impl Study {
         self.assemble_report(sim, products, timings)
     }
 
-    /// Runs the fused simulate+analyze streaming pipeline.
+    /// Runs the fused simulate+analyze streaming pipeline on one shard:
+    /// exactly [`run_sharded(1)`](Study::run_sharded).
+    pub fn run_streaming(&self) -> Result<StudyReport, StudyError> {
+        self.run_sharded(1)
+    }
+
+    /// Runs the fused simulate+analyze streaming pipeline over `shards`
+    /// vantage shards.
     ///
     /// The simulation emits each export hour's flow records straight
-    /// into a [`FanOut`] driver, which applies the §2 filter once and
-    /// feeds every analysis consumer incrementally — the full record
-    /// vector is never materialized; only one emission chunk (an export
-    /// hour) is resident at a time. The resulting [`StudyReport`] is
-    /// bit-identical to [`Study::run`]'s modulo the volatile phase
-    /// timings (compare after [`StudyReport::strip_volatile`]).
-    pub fn run_streaming(&self) -> Result<StudyReport, StudyError> {
-        let cfg = &self.config;
-        let days = cfg.sim.days;
-        let hours = days * 24;
-
-        let started = Instant::now();
-        let mut simulation = Simulation::new(cfg.sim);
-        if let Some(registry) = &self.metrics {
-            simulation = simulation.with_metrics(Arc::clone(registry));
-        }
-        if let Some(tracer) = &self.trace {
-            simulation = simulation.with_trace(Arc::clone(tracer));
-        }
-        if let Some(capacity) = self.chunk_capacity {
-            simulation = simulation.with_chunk_capacity(capacity);
-        }
-        let prepared = simulation.prepare();
-
-        let mut timings: Vec<PhaseTiming> = Vec::new();
-        let (products, truth) = {
-            let filter = FlowFilter::cwa(prepared.cdn.service_prefixes.to_vec());
-            let isp_table = analysis_isp_table(&prepared.isp_table);
-            let pipeline = GeolocationPipeline::new(
-                &prepared.germany,
-                &prepared.geodb,
-                &isp_table,
-                prepared.config.plan.prefix_len,
-            );
-
-            let mut series = HourlySeries::new(hours);
-            let mut geo_acc = GeoDayAccumulator::new(&pipeline, days.min(11));
-            let mut persistence = PersistenceAnalysis::new(cfg.persistence_prefix_len, days);
-            let mut outbreak_acc = OutbreakAccumulator::new(
-                &prepared.germany,
-                &pipeline,
-                isp_resolver(&isp_table, prepared.config.plan.prefix_len),
-                days,
-            );
-
-            let (records_in, records_matched, consumer_counts, truth) = {
-                let mut fan = FanOut::new(&filter);
-                fan.register("timeseries", &mut series);
-                fan.register("geoloc", &mut geo_acc);
-                fan.register("persistence", &mut persistence);
-                fan.register("outbreak", &mut outbreak_acc);
-                if let Some(tracer) = &self.trace {
-                    fan.attach_trace(tracer, tracer.thread(0, 200, "analysis"));
-                }
-                let (truth, _stats) = prepared.run_traffic(&mut fan);
-                (
-                    fan.records_in(),
-                    fan.records_matched(),
-                    fan.consumer_counts(),
-                    truth,
-                )
-            };
-            self.record_phase(&mut timings, "phase.simulate_analyze", started.elapsed());
-
-            let geo_10day = geo_acc.result(1, days.min(11));
-            let geo_day1 = geo_acc.result(1, 2);
-
-            if let Some(registry) = &self.metrics {
-                // Streaming-specific counters: one per consumer plus
-                // the driver's own in/matched totals.
-                registry
-                    .counter("analysis.stream.records_in")
-                    .add(records_in);
-                registry
-                    .counter("analysis.stream.records_matched")
-                    .add(records_matched);
-                for (name, count) in &consumer_counts {
-                    registry
-                        .counter(&format!("analysis.stream.{name}.records"))
-                        .add(*count);
-                }
-                // Plus the batch pipeline's counters with identical
-                // values, so dashboards read the same either way.
-                registry
-                    .counter("analysis.filter.records_in")
-                    .add(records_in);
-                registry
-                    .counter("analysis.filter.records_matched")
-                    .add(records_matched);
-                registry
-                    .counter("analysis.timeseries.hours")
-                    .add(u64::from(hours));
-                registry
-                    .counter("analysis.geoloc.attributed_flows")
-                    .add(geo_10day.district_flows.iter().sum::<u64>());
-                registry
-                    .counter("analysis.persistence.prefixes")
-                    .add(persistence.prefix_count() as u64);
-            }
-
-            (
-                AnalysisProducts {
-                    series,
-                    geo_10day,
-                    geo_day1,
-                    persistence,
-                    outbreak: outbreak_acc.into_analysis(),
-                    matching_flows: records_matched,
-                    total_records: records_in,
-                },
-                truth,
-            )
-        };
-
-        // Side data (DNS study, download curve, plan ground truth) for
-        // claim evaluation; `records` stays empty by construction.
-        let sim = prepared.into_output(Vec::new(), truth);
-        self.assemble_report(&sim, products, timings)
-    }
-
-    /// Runs the sharded streaming pipeline: the router fleet is split
-    /// into `shards` vantage-point shards, each producing, filtering
-    /// and analyzing its own record partition on a dedicated worker
-    /// (bounded channels provide backpressure), and the partial
-    /// accumulators are merged deterministically at the end.
-    ///
-    /// All shards anonymize under the common study key
-    /// ([`ShardKeyMode::Common`]), so the merged report is identical to
-    /// [`Study::run_streaming`]'s after
-    /// [`strip_volatile`](StudyReport::strip_volatile) — and exactly
-    /// identical for `shards == 1`, where the partition is trivial.
+    /// into one analysis [`Chain`] per shard, which applies the §2
+    /// filter once per chunk and feeds every study accumulator
+    /// incrementally — the full record vector is never materialized;
+    /// only one export hour is resident per shard at a time. One shard
+    /// runs on the calling thread. More split the router fleet, each
+    /// shard producing, filtering and analyzing its own record
+    /// partition on a dedicated worker (bounded channels provide
+    /// backpressure), all anonymizing under the common study key
+    /// ([`ShardKeyMode::Common`]). The partial accumulators are merged
+    /// deterministically at the end, so the [`StudyReport`] is
+    /// bit-identical to [`Study::run`]'s for every shard count, modulo
+    /// the volatile phase timings (compare after
+    /// [`StudyReport::strip_volatile`]).
     pub fn run_sharded(&self, shards: usize) -> Result<StudyReport, StudyError> {
-        self.run_sharded_with(shards, ShardKeyMode::Common)
-    }
-
-    /// [`run_sharded`](Study::run_sharded) with an explicit key mode.
-    ///
-    /// Under [`ShardKeyMode::PerShard`] every shard anonymizes with its
-    /// own derived Crypto-PAn key and analyzes against side tables
-    /// re-keyed to match (the paper's per-engine anonymization, §2).
-    /// Claim values then differ slightly from the common-key run: the
-    /// persistence analysis cannot unify a prefix observed by two
-    /// differently-keyed shards.
-    pub fn run_sharded_with(
-        &self,
-        shards: usize,
-        key_mode: ShardKeyMode,
-    ) -> Result<StudyReport, StudyError> {
+        self.check_shards(shards)?;
         let cfg = &self.config;
-        let routers = cfg.sim.vantage.routers;
-        if shards == 0 || shards > usize::from(routers) {
-            return Err(StudyError::InvalidShardCount {
-                requested: shards,
-                routers,
-            });
-        }
         let days = cfg.sim.days;
-        let hours = days * 24;
-        let prefix_len = cfg.sim.plan.prefix_len;
-
         let started = Instant::now();
-        let mut simulation = Simulation::new(cfg.sim);
-        if let Some(registry) = &self.metrics {
-            simulation = simulation.with_metrics(Arc::clone(registry));
-        }
-        if let Some(tracer) = &self.trace {
-            simulation = simulation.with_trace(Arc::clone(tracer));
-        }
-        if let Some(capacity) = self.chunk_capacity {
-            simulation = simulation.with_chunk_capacity(capacity);
-        }
-        let prepared = simulation.prepare();
+        let prepared = self.simulation().prepare();
+        let prefix_len = prepared.config.plan.prefix_len;
+        let filter = FlowFilter::cwa(prepared.cdn.service_prefixes.to_vec());
+        let isp_table = analysis_isp_table(&prepared.isp_table);
+        let pipeline =
+            GeolocationPipeline::new(&prepared.germany, &prepared.geodb, &isp_table, prefix_len);
+        let chains = (0..shards)
+            .map(|i| {
+                let consumers = Accumulators {
+                    series: HourlySeries::new(days * 24),
+                    geo: GeoDayAccumulator::new(&pipeline, days.min(11)),
+                    persistence: PersistenceAnalysis::new(cfg.persistence_prefix_len, days),
+                    outbreak: OutbreakAccumulator::new(
+                        &prepared.germany,
+                        &pipeline,
+                        isp_resolver(&isp_table, prefix_len),
+                        days,
+                    ),
+                };
+                self.chain(&filter, consumers, i, shards, &CONSUMER_NAMES)
+            })
+            .collect();
 
-        let mut timings: Vec<PhaseTiming> = Vec::new();
-        let (products, truth) = {
-            let filter = FlowFilter::cwa(prepared.cdn.service_prefixes.to_vec());
-            let common_table = analysis_isp_table(&prepared.isp_table);
-            // Per-shard side tables, re-keyed to each shard's own Crypto-PAn
-            // key; empty (all shards share the prepared tables) under the
-            // common key.
-            let keyed_tables: Vec<(GeoDb, HashMap<u32, IspInfo>)> = match key_mode {
-                ShardKeyMode::Common => Vec::new(),
-                ShardKeyMode::PerShard => shard_keys(&cfg.sim.vantage.anon_key, shards, key_mode)
-                    .iter()
-                    .map(|key| {
-                        let (geodb, table) = prepared.side_tables_for_key(key);
-                        (geodb, analysis_isp_table(&table))
-                    })
-                    .collect(),
-            };
-            let shard_tables = |i: usize| -> (&GeoDb, &HashMap<u32, IspInfo>) {
-                match key_mode {
-                    ShardKeyMode::Common => (&prepared.geodb, &common_table),
-                    ShardKeyMode::PerShard => (&keyed_tables[i].0, &keyed_tables[i].1),
-                }
-            };
-            let pipelines: Vec<GeolocationPipeline> = (0..shards)
-                .map(|i| {
-                    let (geodb, table) = shard_tables(i);
-                    GeolocationPipeline::new(&prepared.germany, geodb, table, prefix_len)
-                })
-                .collect();
-            let sinks: Vec<ShardConsumers> = (0..shards)
-                .map(|i| {
-                    let (_, table) = shard_tables(i);
-                    ShardConsumers {
-                        filter: &filter,
-                        series: HourlySeries::new(hours),
-                        geo: GeoDayAccumulator::new(&pipelines[i], days.min(11)),
-                        persistence: PersistenceAnalysis::new(cfg.persistence_prefix_len, days),
-                        outbreak: OutbreakAccumulator::new(
-                            &prepared.germany,
-                            &pipelines[i],
-                            Box::new(isp_resolver(table, prefix_len)),
-                            days,
-                        ),
-                        counts: StreamCounts::zeroed(&CONSUMER_NAMES),
-                        records_counter: self
-                            .metrics
-                            .as_ref()
-                            .map(|m| m.counter(&format!("sim.shard.{i:02}.records"))),
-                        trace: self.trace.as_ref().map(|t| {
-                            let buf = t.thread((i + 1) as u32, 2, "analysis");
-                            StageLog::new(t, buf, &CONSUMER_NAMES)
-                        }),
-                        selection: FlowChunk::default(),
-                    }
-                })
-                .collect();
-
-            let (truth, results) = prepared.run_traffic_sharded(key_mode, sinks);
-            self.record_phase(&mut timings, "phase.simulate_analyze", started.elapsed());
-
-            // Deterministic merge: absorb the partials in shard order. Every
-            // accumulator merge is an element-wise monoid operation, so the
-            // result equals a single pass over the union stream.
-            let t = Instant::now();
-            let mut parts = results.into_iter().map(|(sink, _stats)| sink);
-            let mut merged = parts.next().expect("at least one shard");
-            for part in parts {
-                merged.series.absorb(&part.series);
-                merged.geo.absorb(&part.geo);
-                merged.persistence.absorb(&part.persistence);
-                merged.outbreak.absorb(&part.outbreak);
-                merged.counts.absorb(&part.counts);
-            }
-            self.record_phase(&mut timings, "phase.merge", t.elapsed());
-
-            let geo_10day = merged.geo.result(1, days.min(11));
-            let geo_day1 = merged.geo.result(1, 2);
-
-            if let Some(registry) = &self.metrics {
-                // Same counter names and values as the unsharded streaming
-                // run, computed from the merged totals.
-                registry
-                    .counter("analysis.stream.records_in")
-                    .add(merged.counts.records_in);
-                registry
-                    .counter("analysis.stream.records_matched")
-                    .add(merged.counts.records_matched);
-                for (name, count) in &merged.counts.consumers {
-                    registry
-                        .counter(&format!("analysis.stream.{name}.records"))
-                        .add(*count);
-                }
-                registry
-                    .counter("analysis.filter.records_in")
-                    .add(merged.counts.records_in);
-                registry
-                    .counter("analysis.filter.records_matched")
-                    .add(merged.counts.records_matched);
-                registry
-                    .counter("analysis.timeseries.hours")
-                    .add(u64::from(hours));
-                registry
-                    .counter("analysis.geoloc.attributed_flows")
-                    .add(geo_10day.district_flows.iter().sum::<u64>());
-                registry
-                    .counter("analysis.persistence.prefixes")
-                    .add(merged.persistence.prefix_count() as u64);
-            }
-
-            (
-                AnalysisProducts {
-                    series: merged.series,
-                    geo_10day,
-                    geo_day1,
-                    persistence: merged.persistence,
-                    outbreak: merged.outbreak.into_analysis(),
-                    matching_flows: merged.counts.records_matched,
-                    total_records: merged.counts.records_in,
-                },
-                truth,
-            )
-        };
-        let sim = prepared.into_output(Vec::new(), truth);
-        self.assemble_report(&sim, products, timings)
+        let mut timings = Vec::new();
+        let (acc, counts) = self
+            .drive(&prepared, chains, started, &mut timings)
+            .into_results();
+        let products = AnalysisProducts::new(
+            acc.series,
+            &acc.geo,
+            acc.persistence,
+            acc.outbreak.into_analysis(),
+            &counts,
+            days,
+        );
+        self.streamed_report(
+            &ReportContext::from_prepared(&prepared),
+            products,
+            &counts,
+            timings,
+        )
     }
 
-    /// Runs the live windowed pipeline: the same fused simulate+analyze
-    /// stream as [`run_streaming`](Study::run_streaming), but consumed
-    /// through a [`WindowedView`] that additionally maintains the
-    /// sliding last-N-days window with tiered downsampling, optionally
-    /// paced against the wall clock ([`LiveOptions::replay_speed`]) and
+    /// Runs the live windowed pipeline: the same driver as
+    /// [`run_sharded`](Study::run_sharded), but every chain feeds a
+    /// [`WindowedView`] that additionally maintains the sliding
+    /// last-N-days window with tiered downsampling, optionally paced
+    /// against the wall clock ([`LiveOptions::replay_speed`]) and
     /// publishing interim `/report` + `/figures/*` documents into a
     /// [`LiveSnapshot`] mailbox as the replay advances.
     ///
-    /// The returned report equals [`Study::run_streaming`]'s after
+    /// The returned report equals [`Study::run_sharded`]'s after
     /// [`strip_volatile`](StudyReport::strip_volatile) whenever the
     /// horizon fits the study tier (≤ 64 days, the persistence bitmap's
     /// width). Longer horizons — endless mode — cap the study tier at
     /// 64 days while the sliding window keeps advancing with bounded
     /// resident state; a batch run cannot cover such horizons at all.
     ///
-    /// With `opts.shards > 1` the view is sharded exactly like
-    /// [`run_sharded`](Study::run_sharded) (common anonymization key,
-    /// deterministic absorb-merge in shard order). Pacing is a
-    /// serial-driver feature — sharded runs replay at full speed — but
-    /// both drivers publish interim documents: the sharded one merges
-    /// day-boundary shard snapshots off the hot path and publishes the
-    /// merged state once per simulated day.
+    /// Pacing is a serial-driver feature — sharded runs replay at full
+    /// speed — but both publish interim documents: the serial one after
+    /// every export hour, the sharded one by merging day-boundary shard
+    /// snapshots off the hot path and publishing the merged state once
+    /// per simulated day.
     pub fn run_live(&self, opts: &LiveOptions) -> Result<StudyReport, StudyError> {
-        let cfg = &self.config;
-        let routers = cfg.sim.vantage.routers;
         let shards = opts.shards;
-        if shards == 0 || shards > usize::from(routers) {
-            return Err(StudyError::InvalidShardCount {
-                requested: shards,
-                routers,
-            });
-        }
+        self.check_shards(shards)?;
+        let cfg = &self.config;
         let days = cfg.sim.days;
-        let study_days = days.min(64);
-        let plan_prefix_len = cfg.sim.plan.prefix_len;
-
         let started = Instant::now();
-        let mut simulation = Simulation::new(cfg.sim);
-        if let Some(registry) = &self.metrics {
-            simulation = simulation.with_metrics(Arc::clone(registry));
-        }
-        if let Some(tracer) = &self.trace {
-            simulation = simulation.with_trace(Arc::clone(tracer));
-        }
-        if let Some(capacity) = self.chunk_capacity {
-            simulation = simulation.with_chunk_capacity(capacity);
-        }
-        let prepared = simulation.prepare();
-
-        let mut timings: Vec<PhaseTiming> = Vec::new();
-        let (products, truth, final_snapshot) = {
-            let filter = FlowFilter::cwa(prepared.cdn.service_prefixes.to_vec());
-            let isp_table = analysis_isp_table(&prepared.isp_table);
-            let pipeline = GeolocationPipeline::new(
-                &prepared.germany,
-                &prepared.geodb,
-                &isp_table,
-                plan_prefix_len,
-            );
-            // A concrete `Clone` closure (not the opaque `isp_resolver`
-            // return): the view clones it into its outbreak study tier.
-            let table = &isp_table;
-            let resolver = move |client: Ipv4Addr| {
-                table
-                    .get(&cwa_geo::geodb::mask(client, plan_prefix_len))
-                    .map(|e| e.isp)
-            };
-            let make_sink = |records_counter: Option<Arc<Counter>>| LiveSink {
-                filter: &filter,
-                view: WindowedView::new(
-                    &prepared.germany,
-                    &pipeline,
-                    resolver,
-                    cfg.persistence_prefix_len,
-                    study_days,
-                    opts.window,
-                ),
-                counts: StreamCounts::zeroed(&CONSUMER_NAMES),
-                records_counter,
-                selection: FlowChunk::default(),
-                deposits: None,
-            };
-
-            let (merged, truth) = if shards == 1 {
-                let mut sink = PacedLiveSink {
-                    inner: make_sink(None),
+        let prepared = self.simulation().prepare();
+        let ctx = ReportContext::from_prepared(&prepared);
+        let prefix_len = prepared.config.plan.prefix_len;
+        let filter = FlowFilter::cwa(prepared.cdn.service_prefixes.to_vec());
+        let isp_table = analysis_isp_table(&prepared.isp_table);
+        let pipeline =
+            GeolocationPipeline::new(&prepared.germany, &prepared.geodb, &isp_table, prefix_len);
+        let publisher = || {
+            opts.publish.as_ref().map(|live| LivePublisher {
+                study: self,
+                ctx: ReportContext::from_prepared(&prepared),
+                live: Arc::clone(live),
+            })
+        };
+        // One day-boundary deposit queue per shard when a sharded run
+        // publishes.
+        let queues: Vec<_> = if shards > 1 && opts.publish.is_some() {
+            (0..shards)
+                .map(|_| Arc::new(Mutex::new(VecDeque::new())))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let chains = (0..shards)
+            .map(|i| {
+                let consumers = LiveView {
+                    view: WindowedView::new(
+                        &prepared.germany,
+                        &pipeline,
+                        isp_resolver(&isp_table, prefix_len),
+                        cfg.persistence_prefix_len,
+                        days.min(64),
+                        opts.window,
+                    ),
                     pace: opts
                         .replay_speed
+                        .filter(|_| shards == 1)
                         .map(|speed| Duration::from_secs_f64(3600.0 / speed.max(1e-6))),
-                    publisher: opts.publish.as_ref().map(|live| LivePublisher {
-                        study: self,
-                        ctx: ReportContext::from_prepared(&prepared),
-                        live: Arc::clone(live),
-                    }),
+                    publisher: publisher().filter(|_| shards == 1),
+                    deposits: queues.get(i).cloned(),
                 };
-                let (truth, _stats) = prepared.run_traffic(&mut sink);
-                (sink.inner, truth)
-            } else {
-                // Interim publication for the sharded driver: each shard
-                // deposits a day-boundary clone of its state into its own
-                // queue, and a publisher thread merges aligned fronts and
-                // publishes while traffic keeps flowing. The real sinks
-                // never see any of this, so the end-of-run merge stays
-                // byte-identical to `run_streaming`.
-                let publisher = opts.publish.as_ref().map(|live| LivePublisher {
-                    study: self,
-                    ctx: ReportContext::from_prepared(&prepared),
-                    live: Arc::clone(live),
-                });
-                let queues: Vec<_> = (0..shards)
-                    .map(|_| Arc::new(Mutex::new(VecDeque::new())))
-                    .collect();
-                let sinks: Vec<_> = (0..shards)
-                    .map(|i| {
-                        let mut sink = make_sink(
-                            self.metrics
-                                .as_ref()
-                                .map(|m| m.counter(&format!("sim.shard.{i:02}.records"))),
-                        );
-                        if publisher.is_some() {
-                            sink.deposits = Some(Arc::clone(&queues[i]));
-                        }
-                        sink
-                    })
-                    .collect();
+                self.chain(&filter, consumers, i, shards, &["window"])
+            })
+            .collect();
+
+        let mut timings = Vec::new();
+        let merged = match publisher().filter(|_| !queues.is_empty()) {
+            None => self.drive(&prepared, chains, started, &mut timings),
+            Some(pump_publisher) => {
                 let stop = AtomicBool::new(false);
-                let (truth, results) = std::thread::scope(|scope| {
-                    let pump = publisher.as_ref().map(|p| {
-                        scope.spawn(|| loop {
-                            if !publish_front_deposits(&queues, p) {
-                                // Empty after the run ended means fully
-                                // drained: every shard deposits the same
-                                // number of day-boundary snapshots.
-                                if stop.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                std::thread::sleep(Duration::from_millis(2));
+                std::thread::scope(|scope| {
+                    let pump = scope.spawn(|| loop {
+                        if !publish_front_deposits(&queues, &pump_publisher) {
+                            // Empty after the run ended means fully
+                            // drained: every shard deposits the same
+                            // number of day-boundary snapshots.
+                            if stop.load(Ordering::Acquire) {
+                                break;
                             }
-                        })
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
                     });
-                    let out = prepared.run_traffic_sharded(ShardKeyMode::Common, sinks);
+                    let merged = self.drive(&prepared, chains, started, &mut timings);
                     stop.store(true, Ordering::Release);
-                    if let Some(handle) = pump {
-                        handle.join().expect("live publisher thread");
-                    }
-                    out
-                });
-                let mut parts = results.into_iter().map(|(sink, _stats)| sink);
-                let mut merged = parts.next().expect("at least one shard");
-                for part in parts {
-                    merged.view.absorb(&part.view);
-                    merged.counts.absorb(&part.counts);
-                }
-                (merged, truth)
-            };
-            self.record_phase(&mut timings, "phase.simulate_analyze", started.elapsed());
-
-            let geo_10day = merged.view.geo.result(1, days.min(11));
-            let geo_day1 = merged.view.geo.result(1, 2);
-            let snapshot = merged.view.snapshot();
-
-            if let Some(registry) = &self.metrics {
-                // Same counter names and values as the streaming run.
-                registry
-                    .counter("analysis.stream.records_in")
-                    .add(merged.counts.records_in);
-                registry
-                    .counter("analysis.stream.records_matched")
-                    .add(merged.counts.records_matched);
-                for (name, count) in &merged.counts.consumers {
-                    registry
-                        .counter(&format!("analysis.stream.{name}.records"))
-                        .add(*count);
-                }
-                registry
-                    .counter("analysis.filter.records_in")
-                    .add(merged.counts.records_in);
-                registry
-                    .counter("analysis.filter.records_matched")
-                    .add(merged.counts.records_matched);
-                registry
-                    .counter("analysis.timeseries.hours")
-                    .add(u64::from(study_days * 24));
-                registry
-                    .counter("analysis.geoloc.attributed_flows")
-                    .add(geo_10day.district_flows.iter().sum::<u64>());
-                registry
-                    .counter("analysis.persistence.prefixes")
-                    .add(merged.view.persistence.prefix_count() as u64);
+                    pump.join().expect("live publisher thread");
+                    merged
+                })
             }
-
-            let counts = merged.counts;
-            let view = merged.view;
-            (
-                AnalysisProducts {
-                    series: view.series,
-                    geo_10day,
-                    geo_day1,
-                    persistence: view.persistence,
-                    outbreak: view.outbreak.into_analysis(),
-                    matching_flows: counts.records_matched,
-                    total_records: counts.records_in,
-                },
-                truth,
-                snapshot,
-            )
         };
 
-        let sim = prepared.into_output(Vec::new(), truth);
-        let report = self.assemble_report(&sim, products, timings)?;
+        let (live_view, counts) = merged.into_results();
+        let view = live_view.view;
+        let snapshot = view.snapshot();
+        let products = AnalysisProducts::new(
+            view.series,
+            &view.geo,
+            view.persistence,
+            view.outbreak.into_analysis(),
+            &counts,
+            days,
+        );
+        let report = self.streamed_report(&ctx, products, &counts, timings)?;
         if let Some(live) = &opts.publish {
             // The served end state is exactly the returned report.
             let _span = self.metrics.as_ref().map(|m| m.span("live.publish_ns"));
-            let window = evaluate_window_claims(
-                &ReportContext::from_output(&sim),
-                &final_snapshot.window,
-                report.matching_flows,
-            );
-            crate::live::publish_figures(live, &final_snapshot);
+            let window = evaluate_window_claims(&ctx, &snapshot.window, report.matching_flows);
+            crate::live::publish_figures(live, &snapshot);
             live.publish_report(crate::live::render_report(
                 &report,
-                final_snapshot.day,
-                final_snapshot.hours_seen,
+                snapshot.day,
+                snapshot.hours_seen,
                 days,
                 true,
                 &window,
@@ -1560,6 +1062,144 @@ impl Study {
             }
         }
         Ok(report)
+    }
+
+    /// A simulation runner carrying this study's metrics, trace and
+    /// chunk capacity.
+    fn simulation(&self) -> Simulation {
+        let mut simulation = Simulation::new(self.config.sim);
+        if let Some(registry) = &self.metrics {
+            simulation = simulation.with_metrics(Arc::clone(registry));
+        }
+        if let Some(tracer) = &self.trace {
+            simulation = simulation.with_trace(Arc::clone(tracer));
+        }
+        if let Some(capacity) = self.chunk_capacity {
+            simulation = simulation.with_chunk_capacity(capacity);
+        }
+        simulation
+    }
+
+    /// Rejects shard counts outside `1..=routers`: each shard owns at
+    /// least one export engine.
+    fn check_shards(&self, shards: usize) -> Result<(), StudyError> {
+        let routers = self.config.sim.vantage.routers;
+        if shards == 0 || shards > usize::from(routers) {
+            return Err(StudyError::InvalidShardCount {
+                requested: shards,
+                routers,
+            });
+        }
+        Ok(())
+    }
+
+    /// Wraps shard `shard`'s consumers in a chain behind `filter`, with
+    /// the shard's `sim.shard.NN.records` counter and its flight-recorder
+    /// track timing `stages`.
+    fn chain<'w, C: Consumers>(
+        &self,
+        filter: &'w FlowFilter,
+        consumers: C,
+        shard: usize,
+        shards: usize,
+        stages: &[&str],
+    ) -> Chain<'w, C> {
+        let mut chain = Chain::new(filter, consumers, &CONSUMER_NAMES);
+        if let Some(registry) = &self.metrics {
+            chain = chain
+                .with_records_counter(registry.counter(&format!("sim.shard.{shard:02}.records")));
+        }
+        if let Some(tracer) = &self.trace {
+            // A single shard runs beside the day loop on pid 0; shard i
+            // of several owns pid i + 1, next to its worker.
+            let buf = if shards == 1 {
+                tracer.thread(0, 200, "analysis")
+            } else {
+                tracer.thread(shard as u32 + 1, 2, "analysis")
+            };
+            chain = chain.with_trace(StageLog::new(tracer, buf, stages));
+        }
+        chain
+    }
+
+    /// The one streaming driver: runs `chains` (one per shard) over the
+    /// prepared world's traffic — on the calling thread for a single
+    /// shard, on the vantage shard workers otherwise — and absorb-merges
+    /// them in shard order. Every accumulator merge is an element-wise
+    /// monoid operation, so the result equals a single pass over the
+    /// union stream.
+    fn drive<'w, C: Consumers + Send>(
+        &self,
+        prepared: &PreparedSim,
+        mut chains: Vec<Chain<'w, C>>,
+        started: Instant,
+        timings: &mut Vec<PhaseTiming>,
+    ) -> Chain<'w, C> {
+        let results = if chains.len() == 1 {
+            let mut chain = chains.pop().expect("one shard");
+            let (_truth, stats) = prepared.run_traffic(&mut chain);
+            vec![(chain, stats)]
+        } else {
+            prepared.run_traffic_sharded(ShardKeyMode::Common, chains).1
+        };
+        self.record_phase(timings, "phase.simulate_analyze", started.elapsed());
+
+        let t = Instant::now();
+        let mut merged: Option<Chain<'w, C>> = None;
+        for (i, (chain, stats)) in results.into_iter().enumerate() {
+            if let Some(registry) = &self.metrics {
+                registry
+                    .gauge(&format!("sim.shard.{i:02}.peak_resident_records"))
+                    .set(stats.peak_resident_records as i64);
+            }
+            match &mut merged {
+                None => merged = Some(chain),
+                Some(merged) => merged.absorb(&chain),
+            }
+        }
+        self.record_phase(timings, "phase.merge", t.elapsed());
+        merged.expect("at least one shard")
+    }
+
+    /// Publishes the merged stream counters once — plus the batch
+    /// pipeline's analysis counters with identical values, so dashboards
+    /// read the same either way — and assembles the final report.
+    fn streamed_report(
+        &self,
+        ctx: &ReportContext<'_>,
+        products: AnalysisProducts,
+        counts: &StreamCounts,
+        timings: Vec<PhaseTiming>,
+    ) -> Result<StudyReport, StudyError> {
+        if let Some(registry) = &self.metrics {
+            registry
+                .counter("analysis.stream.records_in")
+                .add(counts.records_in);
+            registry
+                .counter("analysis.stream.records_matched")
+                .add(counts.records_matched);
+            for (name, count) in &counts.consumers {
+                registry
+                    .counter(&format!("analysis.stream.{name}.records"))
+                    .add(*count);
+            }
+            registry
+                .counter("analysis.filter.records_in")
+                .add(counts.records_in);
+            registry
+                .counter("analysis.filter.records_matched")
+                .add(counts.records_matched);
+            registry
+                .counter("analysis.timeseries.hours")
+                .add(products.series.flows.len() as u64);
+            registry
+                .counter("analysis.geoloc.attributed_flows")
+                .add(products.geo_10day.district_flows.iter().sum::<u64>());
+            registry
+                .counter("analysis.persistence.prefixes")
+                .add(products.persistence.prefix_count() as u64);
+        }
+        self.assemble_report_ctx(ctx, products, timings, true)
     }
 
     /// Claim evaluation, figures, and manifest assembly — shared
@@ -1943,7 +1583,6 @@ impl Study {
             seed: sim.config.seed,
             scale: sim.config.scale,
             days: sim.config.days,
-            parallel: sim.config.parallel,
             config_hash,
             phase_timings: timings,
         };

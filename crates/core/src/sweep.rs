@@ -176,8 +176,8 @@ fn row_from(name: &str, report: &StudyReport) -> SurvivalRow {
 ///
 /// `shards` is a *request*: each row clamps it to its own
 /// scenario-effective router count (a fleet-shrinking scenario must not
-/// trip `InvalidShardCount` mid-sweep), and a request of 0 or 1 runs the
-/// streaming single-pass path. Either way the resulting table is
+/// trip `InvalidShardCount` mid-sweep), and a request of 0 or 1 runs a
+/// single shard on the calling thread. Either way the resulting table is
 /// byte-identical — it is derived only from shard-invariant report
 /// fields.
 pub fn run_sweep(
@@ -190,16 +190,12 @@ pub fn run_sweep(
     for spec in &matrix.scenarios {
         let cfg = spec.apply(base, &germany)?;
         let effective = shards.clamp(1, usize::from(cfg.sim.vantage.routers).max(1));
-        let study = Study::new(cfg);
-        let report = if effective > 1 {
-            study.run_sharded(effective)
-        } else {
-            study.run_streaming()
-        }
-        .map_err(|err| SweepError::Study {
-            scenario: spec.name.clone(),
-            err,
-        })?;
+        let report = Study::new(cfg)
+            .run_sharded(effective)
+            .map_err(|err| SweepError::Study {
+                scenario: spec.name.clone(),
+                err,
+            })?;
         rows.push(row_from(&spec.name, &report));
     }
     Ok(SurvivalTable { rows })
@@ -325,16 +321,13 @@ pub fn run_seed_sweep(
         for i in 0..seeds {
             let mut cfg = cfg0;
             cfg.sim.seed = cfg0.sim.seed.wrapping_add(u64::from(i));
-            let study = Study::new(cfg);
-            let report = if effective > 1 {
-                study.run_sharded(effective)
-            } else {
-                study.run_streaming()
-            }
-            .map_err(|err| SweepError::Study {
-                scenario: spec.name.clone(),
-                err,
-            })?;
+            let report =
+                Study::new(cfg)
+                    .run_sharded(effective)
+                    .map_err(|err| SweepError::Study {
+                        scenario: spec.name.clone(),
+                        err,
+                    })?;
             if cells.is_empty() {
                 cells = report
                     .claims

@@ -12,8 +12,8 @@
 //!   operation) happens once at wiring time, not per event.
 //! * **Observation only.** Metrics never feed back into simulation
 //!   logic and never touch an RNG stream, so enabling them cannot
-//!   perturb determinism — serial and parallel runs stay bit-identical
-//!   with metrics on or off (the simnet test suite asserts this).
+//!   perturb determinism — runs stay bit-identical with metrics on or
+//!   off (the simnet test suite asserts this).
 //! * **Stable output.** [`Registry::to_json`] emits metrics sorted by
 //!   name with integer-only values, so two snapshots of identical
 //!   counters are byte-identical.

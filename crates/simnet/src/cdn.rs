@@ -10,19 +10,13 @@
 //! * two synthetic IPv4 service prefixes with a handful of server
 //!   addresses each,
 //! * the two DNS names (API endpoint and website),
-//! * daily diagnosis-key export files, sized with the *actual* export
-//!   wire format from `cwa-exposure` so download flow sizes are honest.
+//! * daily diagnosis-key export files, sized like the *actual* signed
+//!   export wire format so download flow sizes are honest.
 
 use std::net::Ipv4Addr;
 
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
-
-use cwa_crypto::p256::SigningKey;
-use cwa_exposure::export::TemporaryExposureKeyExport;
-use cwa_exposure::signature::{sign_export, SignatureInfo};
-use cwa_exposure::tek::{DiagnosisKey, TemporaryExposureKey};
-use cwa_exposure::time::EnIntervalNumber;
 
 /// DNS name of the key-distribution / API endpoint (modelled on the real
 /// `svc90.main.px.t-online.de`).
@@ -102,37 +96,42 @@ impl CdnConfig {
             .any(|&(p, l)| cwa_netflow::flow::in_prefix(addr, p, l))
     }
 
-    /// The backend's export-signing key (fixed, deterministic — the
-    /// real key is pinned in the app).
-    pub fn signing_key() -> SigningKey {
-        let mut secret = [0u8; 32];
-        secret[..16].copy_from_slice(b"cwa-backend-sign");
-        secret[31] = 1;
-        SigningKey::from_bytes(&secret)
-    }
-
-    /// Builds the day's key-export file for a given number of published
-    /// keys, **signs it** (export.bin + export.sig, as on the real CDN),
-    /// and returns the total download size in bytes. The flow generator
-    /// uses this to size key-download responses; real key counts come
-    /// from the upload pipeline.
-    pub fn export_size_bytes<R: RngCore>(&self, rng: &mut R, day: u32, n_keys: usize) -> usize {
-        let start = EnIntervalNumber(((1_592_179_200 / 600) as u32) + day * 144);
-        let keys: Vec<DiagnosisKey> = (0..n_keys)
-            .map(|_| {
-                let tek = TemporaryExposureKey::generate(rng, start);
-                DiagnosisKey::new(tek, 5)
-            })
-            .collect();
-        let export = TemporaryExposureKeyExport::new_de(
-            u64::from(day) * 86_400,
-            (u64::from(day) + 1) * 86_400,
-            keys,
-        );
-        let signed = sign_export(&export, &Self::signing_key(), &SignatureInfo::default());
+    /// The download size in bytes of the day's signed key export
+    /// (export.bin + export.sig, as on the real CDN) for `n_keys`
+    /// published keys. The flow generator uses this to size
+    /// key-download responses; real key counts come from the upload
+    /// pipeline.
+    ///
+    /// The size is a closed form of `(day, n_keys)`: every key record
+    /// and the ECDSA-P256 signature have fixed lengths, so nothing has
+    /// to be built or signed. `_rng` is unused; it stays in the
+    /// signature for existing callers. The integration tests pin this
+    /// against the real builder in `cwa-exposure`.
+    pub fn export_size_bytes<R: RngCore>(&self, _rng: &mut R, day: u32, n_keys: usize) -> usize {
+        // export.bin: the 16-byte header, then the protobuf fields
+        // start/end timestamp (fixed64: 9 B each), region "DE" (4 B),
+        // batch num and size (2 B each) and one embedded message per
+        // key.
+        let header = 16 + 9 + 9 + 4 + 2 + 2;
+        // A key record: key_data (18 B), risk level (2 B), the day's
+        // rolling start interval (tag + varint of the 10-minute EN
+        // interval number, counted from 2020-06-15 00:00 UTC on) and
+        // rolling period 144 (3 B).
+        let rolling_start = (1_592_179_200 / 600) + u64::from(day) * 144;
+        let key = 18 + 2 + 1 + varint_len(rolling_start) + 3;
+        let bin = header + n_keys * (1 + varint_len(key as u64) + key);
+        // export.sig: a TEKSignatureList holding one TEKSignature — the
+        // default SignatureInfo (51 B), batch num and size, and the
+        // 64-byte signature — framed as nested messages.
+        let sig = 125;
         // Plus the zip container overhead observed on the real CDN.
-        signed.export_bin.len() + signed.export_sig.len() + 150
+        bin + sig + 150
     }
+}
+
+/// Encoded length of `value` as a protobuf varint.
+fn varint_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 #[cfg(test)]

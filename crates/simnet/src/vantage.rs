@@ -10,9 +10,9 @@
 //!
 //! Each [`Router`] owns its flow cache *and its own seeded sampling
 //! RNG*, so the vantage point can be driven serially or — routers being
-//! independent — in parallel with one crossbeam worker per router
-//! ([`run_parallel`]) with **bit-identical results** (a property the
-//! test suite asserts).
+//! independent — split into shards with one crossbeam worker each
+//! ([`run_sharded_into`]); every router's record stream is identical
+//! either way (a property the test suite asserts).
 //!
 //! The vantage point also produces the **side tables** a cooperating
 //! network operator would legitimately hand to researchers together with
@@ -262,7 +262,7 @@ pub fn router_for(ev: &FlowEvent, plan_prefix_len: u8, routers: usize) -> usize 
 }
 
 /// Vantage-level observability handles shared by the serial and
-/// parallel drivers (so both count the same logical events).
+/// sharded drivers (so both count the same logical events).
 #[derive(Clone)]
 pub(crate) struct VantageMetrics {
     registry: Arc<Registry>,
@@ -281,8 +281,8 @@ impl VantageMetrics {
     }
 }
 
-/// Live run-progress gauges (`sim.progress.*`), shared by the serial,
-/// parallel and sharded drivers so the `/progress` endpoint and the
+/// Live run-progress gauges (`sim.progress.*`), shared by the serial
+/// and sharded drivers so the `/progress` endpoint and the
 /// `watch` dashboard see the same namespace regardless of driver.
 ///
 /// Totals are published at construction; `hour_done` advances the
@@ -395,7 +395,7 @@ pub struct VantagePoint {
 }
 
 /// The (lossy) export transport between routers and collector.
-pub(crate) struct Transport {
+struct Transport {
     loss_rate: f64,
     rng: ChaCha8Rng,
     /// Datagrams dropped by fault injection.
@@ -688,27 +688,6 @@ impl VantagePoint {
         stats
     }
 
-    /// Decomposes into parts for the parallel driver.
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        Vec<Router>,
-        Collector,
-        u8,
-        ExportFormat,
-        V9Decoder,
-        Transport,
-    ) {
-        (
-            self.routers,
-            self.collector,
-            self.plan_prefix_len,
-            self.format,
-            self.v9_decoder,
-            self.transport,
-        )
-    }
-
     /// Builds the anonymized side tables from the operator's knowledge.
     pub fn side_tables(
         &self,
@@ -746,8 +725,8 @@ impl VantagePoint {
     }
 }
 
-/// Builds the anonymized side tables (standalone form used by both the
-/// serial and parallel drivers).
+/// Builds the anonymized side tables from a Crypto-PAn instance (the
+/// form `Simulation::prepare` uses).
 pub fn side_tables_with(
     cryptopan: &CryptoPan,
     plan: &AddressPlan,
@@ -779,227 +758,6 @@ pub fn side_tables_with(
         );
     }
     (geodb_anon, isp_table)
-}
-
-/// Messages the parallel driver sends to router workers.
-enum WorkerMsg {
-    Event(Box<FlowEvent>),
-    EndOfHour(u32),
-    Finish(u32),
-}
-
-/// Drives a traffic generator through the vantage point with one
-/// crossbeam worker thread per router. Returns the anonymized records
-/// and the traffic ground truth.
-///
-/// Determinism: every router consumes its events in generation order
-/// with its own RNG stream, and the main thread ingests each hour's
-/// exports in router-id order — so the output is **identical** to the
-/// serial driver's.
-pub fn run_parallel(
-    model: crate::traffic::TrafficModel<'_>,
-    vantage: VantagePoint,
-    hours: u32,
-) -> (
-    Vec<FlowRecord>,
-    crate::traffic::GroundTruth,
-    VantageRunStats,
-) {
-    let mut records = Vec::new();
-    let (truth, stats) = run_parallel_into(model, vantage, hours, &mut records);
-    (records, truth, stats)
-}
-
-/// Streaming form of [`run_parallel`]: drains the collector into `sink`
-/// after every export round, so no more than one round's records are
-/// resident at once. Record order is identical to [`run_parallel`]
-/// (per-round drains concatenate in ingestion order). Does not call
-/// `sink.finish()` — the caller owns the stream's lifecycle.
-pub fn run_parallel_into(
-    mut model: crate::traffic::TrafficModel<'_>,
-    vantage: VantagePoint,
-    hours: u32,
-    sink: &mut dyn FlowSink,
-) -> (crate::traffic::GroundTruth, VantageRunStats) {
-    let metrics = vantage.metrics.clone();
-    let progress = metrics
-        .as_ref()
-        .map(|m| ProgressGauges::new(&m.registry, hours));
-    let tracer = vantage.trace.clone();
-    let mut vantage = vantage;
-    let driver_tr = tracer.as_ref().map(|t| {
-        t.set_process_name(0, "vantage");
-        let tr = ThreadTrace::new(t, 0, 0, "driver");
-        vantage.trace_collector_onto(t, Arc::clone(&tr.buf));
-        tr
-    });
-    let (routers, mut collector, plan_prefix_len, format, mut v9_decoder, mut transport) =
-        vantage.into_parts();
-    let n_routers = routers.len();
-
-    let mut worker_txs = Vec::with_capacity(n_routers);
-    let (reply_tx, reply_rx) =
-        std::sync::mpsc::channel::<(u8, Vec<bytes::Bytes>, bool, CacheStats)>();
-
-    let result = crossbeam::thread::scope(|scope| {
-        for mut router in routers {
-            let (tx, rx) = crossbeam::channel::unbounded::<WorkerMsg>();
-            worker_txs.push(tx);
-            let reply = reply_tx.clone();
-            // Worker-utilization handles: busy wall-time and event
-            // count per router, recorded once when the worker finishes
-            // (wall-clock never feeds back into the simulation).
-            let worker_obs = metrics.as_ref().map(|m| {
-                (
-                    m.registry
-                        .timer(&format!("simnet.worker.{:02}.busy", router.id)),
-                    m.registry
-                        .counter(&format!("simnet.worker.{:02}.events", router.id)),
-                )
-            });
-            let worker_tr = tracer.as_ref().map(|t| {
-                ThreadTrace::new(
-                    t,
-                    0,
-                    1 + u32::from(router.id),
-                    &format!("router{:02}", router.id),
-                )
-            });
-            scope.spawn(move |_| {
-                let mut busy = std::time::Duration::ZERO;
-                let mut events = 0u64;
-                // Observe busy-time since the last export, emitted as
-                // one coalesced `produce` span per hour (per-event
-                // spans would swamp the ring).
-                let mut produce_ns = 0u64;
-                let timed = worker_obs.is_some() || worker_tr.is_some();
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        WorkerMsg::Event(ev) => {
-                            if timed {
-                                let t = std::time::Instant::now();
-                                router.observe(&ev);
-                                let d = t.elapsed();
-                                busy += d;
-                                produce_ns += d.as_nanos() as u64;
-                                events += 1;
-                            } else {
-                                router.observe(&ev);
-                            }
-                        }
-                        WorkerMsg::EndOfHour(h) => {
-                            if let Some(tr) = &worker_tr {
-                                let end = tr.buf.now_ns();
-                                tr.buf.complete(
-                                    tr.produce,
-                                    end.saturating_sub(produce_ns),
-                                    produce_ns,
-                                );
-                                produce_ns = 0;
-                            }
-                            let export_start = worker_tr.as_ref().map(|tr| tr.buf.now_ns());
-                            let packets = router.end_of_hour(h);
-                            if let (Some(tr), Some(start)) = (&worker_tr, export_start) {
-                                tr.span_since(tr.export, start);
-                            }
-                            reply
-                                .send((router.id, packets, false, router.stats()))
-                                .expect("main thread alive");
-                        }
-                        WorkerMsg::Finish(h) => {
-                            let finish_start = worker_tr.as_ref().map(|tr| tr.buf.now_ns());
-                            let packets = router.finish(h);
-                            if let (Some(tr), Some(start)) = (&worker_tr, finish_start) {
-                                tr.span_since(tr.finish, start);
-                            }
-                            reply
-                                .send((router.id, packets, true, router.stats()))
-                                .expect("main thread alive");
-                            break;
-                        }
-                    }
-                }
-                if let Some((timer, counter)) = &worker_obs {
-                    timer.record(busy);
-                    counter.add(events);
-                }
-            });
-        }
-        drop(reply_tx);
-
-        let collect_round = |collector: &mut Collector,
-                             v9_decoder: &mut V9Decoder,
-                             transport: &mut Transport|
-         -> CacheStats {
-            // Gather one reply per router, ingest in id order.
-            let mut round: Vec<(u8, Vec<bytes::Bytes>, bool, CacheStats)> = (0..n_routers)
-                .map(|_| reply_rx.recv().expect("worker alive"))
-                .collect();
-            round.sort_by_key(|(id, ..)| *id);
-            let mut stats = CacheStats::default();
-            for (_, datagrams, _, s) in round {
-                for wire in datagrams {
-                    VantagePoint::ingest_wire(collector, v9_decoder, transport, format, wire);
-                }
-                stats.packets_seen += s.packets_seen;
-                stats.expired_inactive += s.expired_inactive;
-                stats.expired_active += s.expired_active;
-                stats.expired_emergency += s.expired_emergency;
-                stats.expired_flush += s.expired_flush;
-            }
-            stats
-        };
-
-        for hour in 0..hours {
-            let produce_start = driver_tr.as_ref().map(|tr| tr.buf.now_ns());
-            model.generate_hour(hour, &mut |ev| {
-                if let Some(m) = &metrics {
-                    m.note_event(ev);
-                }
-                let r = router_for(ev, plan_prefix_len, n_routers);
-                worker_txs[r]
-                    .send(WorkerMsg::Event(Box::new(*ev)))
-                    .expect("worker alive");
-            });
-            if let (Some(tr), Some(start)) = (&driver_tr, produce_start) {
-                tr.span_since(tr.produce, start);
-            }
-            for tx in &worker_txs {
-                tx.send(WorkerMsg::EndOfHour(hour)).expect("worker alive");
-            }
-            let drain_start = driver_tr.as_ref().map(|tr| tr.buf.now_ns());
-            collect_round(&mut collector, &mut v9_decoder, &mut transport);
-            collector.drain_into(sink);
-            sink.checkpoint();
-            if let (Some(tr), Some(start)) = (&driver_tr, drain_start) {
-                tr.span_since(tr.drain, start);
-            }
-            if let Some(p) = &progress {
-                p.hour_done(hour);
-            }
-        }
-        for tx in &worker_txs {
-            tx.send(WorkerMsg::Finish(hours.saturating_sub(1)))
-                .expect("worker alive");
-        }
-        let finish_start = driver_tr.as_ref().map(|tr| tr.buf.now_ns());
-        let stats = collect_round(&mut collector, &mut v9_decoder, &mut transport);
-        collector.drain_into(sink);
-        sink.checkpoint();
-        if let (Some(tr), Some(start)) = (&driver_tr, finish_start) {
-            tr.span_since(tr.finish, start);
-        }
-        stats
-    })
-    .expect("no worker panicked");
-
-    let stats = VantageRunStats {
-        cache: result,
-        dropped_datagrams: transport.dropped_datagrams,
-        undecodable_datagrams: transport.undecodable_datagrams,
-        peak_resident_records: collector.peak_resident_records() as u64,
-    };
-    (model.into_truth(), stats)
 }
 
 /// Messages the sharded driver sends to shard workers.
@@ -1298,13 +1056,6 @@ pub fn run_sharded_into<S: FlowSink + Send>(
     })
     .expect("no shard worker panicked");
 
-    if let Some(m) = &metrics {
-        for (i, (_, stats)) in results.iter().enumerate() {
-            m.registry
-                .gauge(&format!("sim.shard.{i:02}.peak_resident_records"))
-                .set(stats.peak_resident_records as i64);
-        }
-    }
     (model.into_truth(), results)
 }
 

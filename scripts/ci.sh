@@ -16,6 +16,13 @@ cargo build --release --workspace
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> perfbench build + tests (the benchmark calls the public API)"
+# perfbench is a package of its own outside the workspace; building and
+# testing it here catches a change to an API it calls before the
+# benchmark run does.
+cargo test --manifest-path perfbench/Cargo.toml -q
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "==> streaming + sharded equivalence (batch == streaming == sharded)"
 cargo test -q --test streaming
 cargo test -q --test merge_prop
@@ -33,12 +40,11 @@ echo "==> streaming scale-sweep smoke (claims must pass end to end)"
 # threshold (the full claim table evaluates). Below it, starved cells
 # degrade into per-claim Starved verdicts — exit 0 without --strict —
 # covered by tests/streaming.rs::starved_scale_degrades_identically_across_paths.
-./target/release/cwa-repro study --scale 0.02 --streaming > /dev/null
-./target/release/cwa-repro study --scale 0.03 --streaming --parallel > /dev/null
+./target/release/cwa-repro study --scale 0.02 > /dev/null
 
 echo "==> starved-scale degradation smoke (0.005 must degrade, not abort)"
 STARVED_OUT="$(mktemp /tmp/cwa-starved.XXXXXX.txt)"
-./target/release/cwa-repro study --scale 0.005 --streaming > "$STARVED_OUT"
+./target/release/cwa-repro study --scale 0.005 > "$STARVED_OUT"
 grep -q 'starved' "$STARVED_OUT" || { echo "scale 0.005 produced no starved verdicts"; exit 1; }
 # The same scale under --strict must refuse with the structured error.
 if ./target/release/cwa-repro study --scale 0.0000001 --strict > /dev/null 2>&1; then
@@ -219,8 +225,8 @@ echo "==> obs-diff regression gate (same-seed streaming snapshots)"
 # regressions and exercise the nonzero-exit path wiring.
 OBS_A="$(mktemp /tmp/cwa-obs-a.XXXXXX.json)"
 OBS_B="$(mktemp /tmp/cwa-obs-b.XXXXXX.json)"
-./target/release/cwa-repro study --scale 0.02 --streaming --metrics "$OBS_A" > /dev/null
-./target/release/cwa-repro study --scale 0.02 --streaming --metrics "$OBS_B" > /dev/null
+./target/release/cwa-repro study --scale 0.02 --metrics "$OBS_A" > /dev/null
+./target/release/cwa-repro study --scale 0.02 --metrics "$OBS_B" > /dev/null
 ./target/release/cwa-repro obs-diff "$OBS_A" "$OBS_B" --threshold 300
 rm -f "$OBS_A" "$OBS_B"
 
@@ -253,9 +259,9 @@ fi
 
 echo "==> chunked-pipeline smoke (scale 0.2 streaming)"
 # One order of magnitude above the bench scale: exercises the columnar
-# chunk path (collector pack -> FanOut select_into -> per-consumer
+# chunk path (collector pack -> Chain select_into -> per-consumer
 # observe_chunk) long enough for the Crypto-PAn prefix cache to matter.
-./target/release/cwa-repro study --scale 0.2 --streaming > /dev/null
+./target/release/cwa-repro study --scale 0.2 > /dev/null
 
 echo "==> chunked record-path floor (BENCH_fullscale.json)"
 # The fullscale bench replays one captured scale-0.02 record stream

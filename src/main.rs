@@ -1,7 +1,7 @@
 //! `cwa-repro` — command-line front end for the reproduction.
 //!
 //! ```text
-//! cwa-repro study [--scale S] [--seed N] [--parallel] [--streaming] [--shards N] [--out DIR] [--metrics FILE] [--trace FILE]
+//! cwa-repro study [--scale S] [--seed N] [--shards N] [--out DIR] [--metrics FILE] [--trace FILE]
 //!                 [--strict] [--scenario FILE]
 //!                 [--live] [--replay-speed N] [--days N|inf]
 //!                 [--serve ADDR] [--heartbeat-ms N] [--heartbeat-jsonl FILE] [--serve-linger-ms N]
@@ -23,6 +23,10 @@ use cwa_simnet::{SimConfig, Simulation};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(key) = missing_value(&args) {
+        eprintln!("{key} requires a value");
+        return ExitCode::FAILURE;
+    }
     match args.first().map(String::as_str) {
         Some("study") => study(&args[1..]),
         Some("sweep") => sweep(&args[1..]),
@@ -47,14 +51,13 @@ fn usage() -> String {
     "cwa-repro — reproduction of the SIGCOMM'20 Corona-Warn-App measurement study\n\
      \n\
      USAGE:\n\
-     \x20 cwa-repro study [--scale S] [--seed N] [--parallel] [--streaming] [--shards N] [--out DIR] [--metrics FILE] [--trace FILE]\n\
+     \x20 cwa-repro study [--scale S] [--seed N] [--shards N] [--out DIR] [--metrics FILE] [--trace FILE]\n\
      \x20     run the full study and print the paper-vs-measured report;\n\
-     \x20     --streaming fuses simulate+analyze into one single-pass\n\
-     \x20     pipeline that never materializes the full record set\n\
-     \x20     (same report modulo phase timings);\n\
-     \x20     --shards N splits the router fleet across N worker threads,\n\
-     \x20     each filtering+analyzing its own record partition, merged\n\
-     \x20     deterministically at the end (same report as --streaming);\n\
+     \x20     simulate+analyze run as one single-pass pipeline that never\n\
+     \x20     materializes the full record set; --shards N (default 1)\n\
+     \x20     splits the router fleet across N worker threads, each\n\
+     \x20     filtering+analyzing its own record partition, merged\n\
+     \x20     deterministically at the end (same report for every N);\n\
      \x20     --metrics writes an observability snapshot — cwa-obs/v1\n\
      \x20     JSON, or Prometheus text exposition when FILE ends in .prom;\n\
      \x20     --trace records a flight-recorder timeline of every pipeline\n\
@@ -65,7 +68,7 @@ fn usage() -> String {
      \x20     view and (with --serve) publishes an interim report after\n\
      \x20     every simulated day plus figure documents every hour on\n\
      \x20     /report and /figures/{adoption,geo,outbreak}; the end state\n\
-     \x20     equals the batch --streaming report; --replay-speed N paces\n\
+     \x20     equals the plain study report; --replay-speed N paces\n\
      \x20     the replay at N× simulated time (an export hour every\n\
      \x20     3600/N wall seconds; default: as fast as possible) and\n\
      \x20     --days N|inf stretches the horizon (`inf` ≈ ten years; the\n\
@@ -116,8 +119,44 @@ fn usage() -> String {
         .to_owned()
 }
 
-/// Minimal `--key value` / `--flag` parser.
+/// Every `--key` that takes a value, across all subcommands.
+const VALUE_KEYS: [&str; 18] = [
+    "--scale",
+    "--seed",
+    "--shards",
+    "--out",
+    "--metrics",
+    "--trace",
+    "--scenario",
+    "--replay-speed",
+    "--days",
+    "--serve",
+    "--heartbeat-ms",
+    "--heartbeat-jsonl",
+    "--serve-linger-ms",
+    "--scenarios",
+    "--seeds",
+    "--json",
+    "--interval-ms",
+    "--threshold",
+];
+
+/// The first value-taking key in `args` that has no value: it is the
+/// last argument, or the next argument is another `--key`.
+fn missing_value(args: &[String]) -> Option<&str> {
+    args.iter().enumerate().find_map(|(i, a)| {
+        let key = VALUE_KEYS.iter().copied().find(|k| k == a)?;
+        match args.get(i + 1) {
+            Some(value) if !value.starts_with("--") => None,
+            _ => Some(key),
+        }
+    })
+}
+
+/// Minimal `--key value` / `--flag` parser. `main` has already rejected
+/// a value-taking key without a value.
 fn opt(args: &[String], key: &str) -> Option<String> {
+    debug_assert!(VALUE_KEYS.contains(&key), "{key} missing from VALUE_KEYS");
     args.iter()
         .position(|a| a == key)
         .and_then(|i| args.get(i + 1))
@@ -147,7 +186,6 @@ fn study(args: &[String]) -> ExitCode {
             }
         }
     }
-    config.sim.parallel = flag(args, "--parallel");
     let strict = flag(args, "--strict");
     if let Some(path) = opt(args, "--scenario") {
         let text = match std::fs::read_to_string(&path) {
@@ -181,10 +219,9 @@ fn study(args: &[String]) -> ExitCode {
         };
         eprintln!("applied scenario '{}'", matrix.scenarios[0].name);
     }
-    let streaming = flag(args, "--streaming");
-    let shards: Option<usize> = match opt(args, "--shards").map(|s| s.parse()) {
-        Some(Ok(n)) => Some(n),
-        None => None,
+    let shards: usize = match opt(args, "--shards").map(|s| s.parse()) {
+        Some(Ok(n)) => n,
+        None => 1,
         Some(Err(_)) => {
             eprintln!("--shards must be a positive integer");
             return ExitCode::FAILURE;
@@ -201,10 +238,6 @@ fn study(args: &[String]) -> ExitCode {
     };
     if replay_speed.is_some() && !live_mode {
         eprintln!("--replay-speed requires --live");
-        return ExitCode::FAILURE;
-    }
-    if live_mode && streaming {
-        eprintln!("--live and --streaming are exclusive (live is already single-pass)");
         return ExitCode::FAILURE;
     }
     if let Some(days) = opt(args, "--days") {
@@ -308,11 +341,9 @@ fn study(args: &[String]) -> ExitCode {
     }
 
     eprintln!(
-        "running study at scale {scale} (seed {:#x}{}{}{}) …",
+        "running study at scale {scale} (seed {:#x}{}, {shards} shard(s)) …",
         config.sim.seed,
-        if streaming { ", streaming" } else { "" },
         if live_mode { ", live" } else { "" },
-        shards.map(|n| format!(", {n} shards")).unwrap_or_default()
     );
     let start = std::time::Instant::now();
     let mut study = Study::new(config).strict(strict);
@@ -324,17 +355,13 @@ fn study(args: &[String]) -> ExitCode {
     }
     let result = if live_mode {
         study.run_live(&LiveOptions {
-            shards: shards.unwrap_or(1),
+            shards,
             replay_speed,
             publish: live_snapshot.clone(),
             ..LiveOptions::default()
         })
-    } else if let Some(n) = shards {
-        study.run_sharded(n)
-    } else if streaming {
-        study.run_streaming()
     } else {
-        study.run()
+        study.run_sharded(shards)
     };
 
     // Telemetry teardown. A successful run already set
@@ -1293,6 +1320,37 @@ mod tests {
             .expect("C4a row");
         assert!(c4.contains("FAIL"), "{c4}");
         assert!(c4.contains("—"), "no window verdict: {c4}");
+    }
+
+    #[test]
+    fn a_value_key_without_a_value_is_named() {
+        let args = |line: &str| -> Vec<String> { line.split(' ').map(str::to_owned).collect() };
+        assert_eq!(
+            missing_value(&args("study --scale 0.02 --metrics")),
+            Some("--metrics")
+        );
+        assert_eq!(missing_value(&args("study --shards")), Some("--shards"));
+        assert_eq!(
+            missing_value(&args("study --metrics --shards 2")),
+            Some("--metrics"),
+            "another key is not a value"
+        );
+        assert_eq!(
+            missing_value(&args("sweep --scenarios s.toml --json")),
+            Some("--json")
+        );
+        assert_eq!(
+            missing_value(&args("watch --claims 127.0.0.1:1 --interval-ms")),
+            Some("--interval-ms")
+        );
+        assert_eq!(
+            missing_value(&args("study --scale 0.02 --shards 2 --strict")),
+            None
+        );
+        assert_eq!(
+            missing_value(&args("obs-diff a.json b.json --threshold 5")),
+            None
+        );
     }
 
     #[test]

@@ -154,3 +154,42 @@ fn export_sizes_match_expected_wire_overhead() {
         "marginal key cost {per_key} bytes"
     );
 }
+
+/// The CDN sizes each day's key download in closed form instead of
+/// building and signing the export. The closed form must equal the
+/// real signed export.bin + export.sig (plus the fixed container
+/// overhead) across key-count varint boundaries and the whole day range
+/// a `--days inf` run covers.
+#[test]
+fn closed_form_export_size_matches_signed_export() {
+    use cwa_repro::crypto::SigningKey;
+    use cwa_repro::exposure::signature::SignatureInfo;
+    use cwa_repro::exposure::{sign_export, DiagnosisKey, TemporaryExposureKey};
+    use cwa_repro::simnet::CdnConfig;
+
+    let cdn = CdnConfig::default();
+    let mut secret = [0u8; 32];
+    secret[..16].copy_from_slice(b"cwa-backend-sign");
+    secret[31] = 1;
+    let backend_key = SigningKey::from_bytes(&secret);
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    for day in [0u32, 10, 3649] {
+        let start = EnIntervalNumber(1_592_179_200 / 600 + day * DAY);
+        for n_keys in [0usize, 1, 2, 127, 128, 1000] {
+            let keys = (0..n_keys)
+                .map(|_| DiagnosisKey::new(TemporaryExposureKey::generate(&mut rng, start), 5))
+                .collect();
+            let export = TemporaryExposureKeyExport::new_de(
+                u64::from(day) * 86_400,
+                (u64::from(day) + 1) * 86_400,
+                keys,
+            );
+            let signed = sign_export(&export, &backend_key, &SignatureInfo::default());
+            assert_eq!(
+                cdn.export_size_bytes(&mut rng, day, n_keys),
+                signed.export_bin.len() + signed.export_sig.len() + 150,
+                "day {day}, {n_keys} keys"
+            );
+        }
+    }
+}

@@ -1,51 +1,31 @@
 //! Observability integration: the `cwa-obs` registry wired through the
 //! full sim → vantage → analysis pipeline must (a) produce a valid
 //! JSON snapshot covering every pipeline stage, and (b) never perturb
-//! the study output — serial and parallel reports stay bit-identical
-//! with metrics enabled or disabled.
+//! the study output — reports stay bit-identical with metrics enabled
+//! or disabled.
 
 use std::sync::Arc;
 
 use cwa_repro::core::{Study, StudyConfig};
 use cwa_repro::obs::{Registry, Tracer};
 
-fn small_config(parallel: bool) -> StudyConfig {
-    let mut config = StudyConfig::test_small();
-    config.sim.parallel = parallel;
-    config
+fn small_config() -> StudyConfig {
+    StudyConfig::test_small()
 }
 
 #[test]
 fn metrics_snapshot_covers_pipeline_and_reports_match() {
     let reg_serial = Arc::new(Registry::new());
-    let serial = Study::new(small_config(false))
+    let serial = Study::new(small_config())
         .with_metrics(Arc::clone(&reg_serial))
         .run()
         .expect("small study produces matching flows");
-    let reg_parallel = Arc::new(Registry::new());
-    let parallel = Study::new(small_config(true))
-        .with_metrics(Arc::clone(&reg_parallel))
-        .run()
-        .expect("small study produces matching flows");
-    let plain = Study::new(small_config(false))
+    let plain = Study::new(small_config())
         .run()
         .expect("small study produces matching flows");
 
-    // Identical reports across {serial, parallel} × {metrics on, off}
-    // once the volatile wall-clock phase timings are stripped. The
-    // driver choice is itself part of the configuration (and thus the
-    // config hash), so normalize those fields before comparing — the
-    // scientific payload (figures, claims, counts) must be identical.
-    let mut parallel_stripped = parallel.strip_volatile();
-    assert!(parallel_stripped.manifest.parallel);
-    parallel_stripped.manifest.parallel = false;
-    parallel_stripped.config.sim.parallel = false;
-    parallel_stripped.manifest.config_hash = serial.manifest.config_hash.clone();
-    assert_eq!(
-        serial.strip_volatile(),
-        parallel_stripped,
-        "parallel == serial"
-    );
+    // Identical reports with metrics on or off once the volatile
+    // wall-clock phase timings are stripped.
     assert_eq!(
         serial.strip_volatile(),
         plain.strip_volatile(),
@@ -88,11 +68,6 @@ fn metrics_snapshot_covers_pipeline_and_reports_match() {
         assert!(json.contains(key), "metrics snapshot missing {key}");
     }
 
-    // The parallel driver additionally reports worker utilization.
-    let parallel_json = reg_parallel.to_json();
-    assert!(parallel_json.contains("\"simnet.worker.00.busy\""));
-    assert!(parallel_json.contains("\"simnet.worker.00.events\""));
-
     // Headline counters are live and consistent with the report.
     assert!(reg_serial.counter("simnet.traffic.flow_events").get() > 0);
     assert_eq!(
@@ -111,11 +86,11 @@ fn metrics_snapshot_covers_pipeline_and_reports_match() {
 /// run — across the batch, streaming, and sharded drivers alike.
 #[test]
 fn tracer_never_perturbs_reports() {
-    let traced_batch = Study::new(small_config(false))
+    let traced_batch = Study::new(small_config())
         .with_trace(Arc::new(Tracer::new()))
         .run()
         .expect("small study produces matching flows");
-    let plain_batch = Study::new(small_config(false))
+    let plain_batch = Study::new(small_config())
         .run()
         .expect("small study produces matching flows");
     assert_eq!(
@@ -124,11 +99,11 @@ fn tracer_never_perturbs_reports() {
         "batch: tracer on == off"
     );
 
-    let traced_streaming = Study::new(small_config(false))
+    let traced_streaming = Study::new(small_config())
         .with_trace(Arc::new(Tracer::new()))
         .run_streaming()
         .expect("small study produces matching flows");
-    let plain_streaming = Study::new(small_config(false))
+    let plain_streaming = Study::new(small_config())
         .run_streaming()
         .expect("small study produces matching flows");
     assert_eq!(
@@ -137,11 +112,11 @@ fn tracer_never_perturbs_reports() {
         "streaming: tracer on == off"
     );
 
-    let traced_sharded = Study::new(small_config(false))
+    let traced_sharded = Study::new(small_config())
         .with_trace(Arc::new(Tracer::new()))
         .run_sharded(2)
         .expect("small study produces matching flows");
-    let plain_sharded = Study::new(small_config(false))
+    let plain_sharded = Study::new(small_config())
         .run_sharded(2)
         .expect("small study produces matching flows");
     assert_eq!(
@@ -158,7 +133,7 @@ fn tracer_never_perturbs_reports() {
 #[test]
 fn sharded_trace_covers_every_stage() {
     let tracer = Arc::new(Tracer::new());
-    Study::new(small_config(false))
+    Study::new(small_config())
         .with_trace(Arc::clone(&tracer))
         .run_sharded(2)
         .expect("small study produces matching flows");

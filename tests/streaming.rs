@@ -1,12 +1,11 @@
 //! Streaming-pipeline equivalence: the fused single-pass
-//! simulate+analyze path (`Study::run_streaming`) must produce a report
-//! byte-identical to the batch path (`Study::run`) once the volatile
-//! wall-clock phase timings are stripped — with metrics on or off, and
-//! under both the serial and the parallel traffic driver — while never
-//! materializing the full flow-record vector. The sharded path
-//! (`Study::run_sharded`) must in turn match the streaming report for
-//! any shard count, with per-shard memory still bounded to one
-//! export-hour chunk.
+//! simulate+analyze path (`Study::run_streaming`, i.e. `run_sharded(1)`)
+//! must produce a report byte-identical to the batch path (`Study::run`)
+//! once the volatile wall-clock phase timings are stripped — with
+//! metrics on or off — while never materializing the full flow-record
+//! vector. The sharded path (`Study::run_sharded`) must in turn match
+//! the streaming report for any shard count, with per-shard memory still
+//! bounded to one export-hour chunk.
 
 use std::sync::Arc;
 
@@ -16,10 +15,8 @@ use cwa_repro::netflow::CountingSink;
 use cwa_repro::obs::Registry;
 use cwa_repro::simnet::{ShardKeyMode, Simulation};
 
-fn small_config(parallel: bool) -> StudyConfig {
-    let mut config = StudyConfig::test_small();
-    config.sim.parallel = parallel;
-    config
+fn small_config() -> StudyConfig {
+    StudyConfig::test_small()
 }
 
 /// Strips the volatile timings and serializes — byte-level equality is
@@ -30,10 +27,10 @@ fn canonical_json(report: &cwa_repro::core::StudyReport) -> String {
 
 #[test]
 fn streaming_report_is_bit_identical_to_batch() {
-    let batch = Study::new(small_config(false))
+    let batch = Study::new(small_config())
         .run()
         .expect("small study produces matching flows");
-    let streaming = Study::new(small_config(false))
+    let streaming = Study::new(small_config())
         .run_streaming()
         .expect("small study produces matching flows");
     assert_eq!(
@@ -51,12 +48,12 @@ fn streaming_report_is_bit_identical_to_batch() {
 fn streaming_matches_batch_with_metrics_and_parallel_driver() {
     // Metrics on, serial driver.
     let reg_batch = Arc::new(Registry::new());
-    let batch = Study::new(small_config(false))
+    let batch = Study::new(small_config())
         .with_metrics(Arc::clone(&reg_batch))
         .run()
         .expect("small study produces matching flows");
     let reg_stream = Arc::new(Registry::new());
-    let streaming = Study::new(small_config(false))
+    let streaming = Study::new(small_config())
         .with_metrics(Arc::clone(&reg_stream))
         .run_streaming()
         .expect("small study produces matching flows");
@@ -64,22 +61,6 @@ fn streaming_matches_batch_with_metrics_and_parallel_driver() {
         canonical_json(&batch),
         canonical_json(&streaming),
         "streaming == batch (serial, metrics on)"
-    );
-
-    // Parallel driver: normalize the driver-choice fields exactly as
-    // the metrics test does — the driver is part of the config hash.
-    let parallel = Study::new(small_config(true))
-        .run_streaming()
-        .expect("small study produces matching flows");
-    let mut parallel_stripped = parallel.strip_volatile();
-    assert!(parallel_stripped.manifest.parallel);
-    parallel_stripped.manifest.parallel = false;
-    parallel_stripped.config.sim.parallel = false;
-    parallel_stripped.manifest.config_hash = batch.manifest.config_hash.clone();
-    assert_eq!(
-        batch.strip_volatile(),
-        parallel_stripped,
-        "streaming parallel == batch serial"
     );
 
     // The streaming registry carries the per-consumer stream counters …
@@ -117,6 +98,22 @@ fn streaming_matches_batch_with_metrics_and_parallel_driver() {
     );
 }
 
+/// The one streaming driver at one shard reproduces the batch oracle
+/// byte for byte on a second seed as well, not only the default one.
+#[test]
+fn single_shard_matches_batch_on_a_second_seed() {
+    let mut config = small_config();
+    config.sim.seed = 777;
+    let batch = Study::new(config)
+        .run()
+        .expect("small study produces matching flows");
+    let streamed = Study::new(config)
+        .run_sharded(1)
+        .expect("small study produces matching flows");
+    assert!(streamed.matching_flows > 0);
+    assert_eq!(canonical_json(&batch), canonical_json(&streamed));
+}
+
 #[test]
 fn chunked_emission_bounds_resident_records() {
     let config = StudyConfig::test_small();
@@ -136,7 +133,7 @@ fn chunked_emission_bounds_resident_records() {
 
 #[test]
 fn sharded_report_matches_streaming_for_all_shard_counts() {
-    let baseline = Study::new(small_config(false))
+    let baseline = Study::new(small_config())
         .run_streaming()
         .expect("small study produces matching flows");
     let baseline_json = canonical_json(&baseline);
@@ -144,7 +141,7 @@ fn sharded_report_matches_streaming_for_all_shard_counts() {
     for shards in [1usize, 2, 4] {
         for metrics in [false, true] {
             let registry = metrics.then(|| Arc::new(Registry::new()));
-            let mut study = Study::new(small_config(false));
+            let mut study = Study::new(small_config());
             if let Some(registry) = &registry {
                 study = study.with_metrics(Arc::clone(registry));
             }
@@ -159,12 +156,18 @@ fn sharded_report_matches_streaming_for_all_shard_counts() {
             );
 
             // The sharded run's registry carries per-shard throughput
-            // counters, channel-depth gauges, and the merge timer on
-            // top of the shared streaming vocabulary.
+            // counters, residency gauges, channel-depth gauges (a single
+            // shard runs on the calling thread, without a channel) and
+            // the merge timer on top of the shared streaming vocabulary.
             if let Some(registry) = &registry {
                 let json = registry.to_json_pretty();
+                let stems: &[&str] = if shards > 1 {
+                    &["records", "channel_depth", "peak_resident_records"]
+                } else {
+                    &["records", "peak_resident_records"]
+                };
                 for i in 0..shards {
-                    for stem in ["records", "channel_depth", "peak_resident_records"] {
+                    for stem in stems {
                         let key = format!("\"sim.shard.{i:02}.{stem}\"");
                         assert!(json.contains(&key), "sharded snapshot missing {key}");
                     }
