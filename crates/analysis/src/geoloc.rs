@@ -53,6 +53,20 @@ pub struct GeoResult {
 }
 
 impl GeoResult {
+    /// A result from per-district flows and attribution counts in
+    /// [`attribution_index`] order (zero counts are left out of the map).
+    pub(crate) fn from_counts(district_flows: Vec<u64>, attributions: [u64; 3]) -> Self {
+        let attribution_counts = ATTRIBUTIONS
+            .into_iter()
+            .map(|attr| (attr, attributions[attribution_index(attr)]))
+            .filter(|&(_, count)| count > 0)
+            .collect();
+        GeoResult {
+            district_flows,
+            attribution_counts,
+        }
+    }
+
     /// Intensities normalized by the maximum district (Fig. 3's scale).
     pub fn normalized(&self) -> Vec<f64> {
         let max = self
@@ -289,17 +303,7 @@ impl<'a> GeoDayAccumulator<'a> {
                 *total += day_count;
             }
         }
-        let mut attribution_counts = HashMap::new();
-        for attr in ATTRIBUTIONS {
-            let count = attributions[attribution_index(attr)];
-            if count > 0 {
-                attribution_counts.insert(attr, count);
-            }
-        }
-        GeoResult {
-            district_flows,
-            attribution_counts,
-        }
+        GeoResult::from_counts(district_flows, attributions)
     }
 }
 

@@ -38,7 +38,7 @@ pub struct OutbreakAnalysis {
     pub state_flows: Vec<[u64; 16]>,
     /// Berlin-located flows per day, by ISP id.
     pub berlin_isp_flows: HashMap<u8, Vec<u64>>,
-    days: u32,
+    pub(crate) days: u32,
 }
 
 impl OutbreakAnalysis {
@@ -65,20 +65,42 @@ impl OutbreakAnalysis {
         acc.into_analysis()
     }
 
-    /// Sum of a day range for one district.
-    fn district_sum(&self, district: DistrictId, days: &Range<u32>) -> u64 {
-        days.clone()
-            .filter(|&d| d < self.days)
-            .map(|d| self.district_flows[d as usize][usize::from(district.0)])
-            .sum()
+    /// Flows of one district over a day range (days without a district
+    /// row count zero).
+    pub fn district_sum(&self, district: DistrictId, days: Range<u32>) -> u64 {
+        days.filter_map(|d| {
+            self.district_flows
+                .get(d as usize)?
+                .get(usize::from(district.0))
+        })
+        .sum()
     }
 
     /// Growth ratio `post/pre` for one district (NaN when pre is 0).
     pub fn district_growth(&self, district: DistrictId, pre: Range<u32>, post: Range<u32>) -> f64 {
         ratio(
-            self.district_sum(district, &post),
-            self.district_sum(district, &pre),
+            self.district_sum(district, post),
+            self.district_sum(district, pre),
         )
+    }
+
+    /// Geolocated flows nationwide over a day range.
+    pub fn national_sum(&self, days: Range<u32>) -> u64 {
+        days.filter_map(|d| self.state_flows.get(d as usize))
+            .map(|states| states.iter().sum::<u64>())
+            .sum()
+    }
+
+    /// Berlin-located flows over a day range, summed across ISPs.
+    pub fn berlin_sum(&self, days: Range<u32>) -> u64 {
+        self.berlin_isp_flows
+            .values()
+            .map(|per_day| {
+                days.clone()
+                    .filter_map(|d| per_day.get(d as usize))
+                    .sum::<u64>()
+            })
+            .sum()
     }
 
     /// Growth ratio per federal state.
@@ -102,12 +124,7 @@ impl OutbreakAnalysis {
 
     /// National growth ratio.
     pub fn national_growth(&self, pre: Range<u32>, post: Range<u32>) -> f64 {
-        let sum = |r: Range<u32>| -> u64 {
-            r.filter(|&d| d < self.days)
-                .map(|d| self.state_flows[d as usize].iter().sum::<u64>())
-                .sum()
-        };
-        ratio(sum(post), sum(pre))
+        ratio(self.national_sum(post), self.national_sum(pre))
     }
 
     /// Per-ISP growth of Berlin-located traffic.
@@ -144,20 +161,38 @@ impl OutbreakAnalysis {
     ) -> (f64, f64, bool) {
         let growth = self.state_growth(pre, post);
         let nrw = growth[FederalState::NordrheinWestfalen.index()];
-        let mut others: Vec<f64> = (0..16)
-            .filter(|&i| i != FederalState::NordrheinWestfalen.index())
-            .map(|i| growth[i])
-            .filter(|g| g.is_finite())
-            .collect();
-        others.sort_by(|a, b| a.partial_cmp(b).expect("finite growths"));
-        // At starvation-level scales every other state can end up with a
-        // zero pre-window sum (growth NaN), leaving nothing to take a
-        // median over — report NaN rather than panicking so the claim
-        // simply evaluates out-of-band.
-        let median = others.get(others.len() / 2).copied().unwrap_or(f64::NAN);
+        let median = median_finite(
+            (0..16)
+                .filter(|&i| i != FederalState::NordrheinWestfalen.index())
+                .map(|i| growth[i]),
+        );
         let within = nrw.is_finite() && (nrw / median).max(median / nrw) <= tolerance;
         (nrw, median, within)
     }
+
+    /// The paper's Berlin test: the growth of Berlin-located traffic
+    /// within ISP `isp` against the median growth of the other ISPs.
+    /// Returns `(isp_growth, median_other_growth)`; the ISP's growth is
+    /// NaN when it has no Berlin traffic.
+    pub fn berlin_isp_vs_rest(&self, isp: u8, pre: Range<u32>, post: Range<u32>) -> (f64, f64) {
+        let growth = self.berlin_isp_growth(pre, post);
+        let own = growth
+            .iter()
+            .find(|&&(i, _)| i == isp)
+            .map_or(f64::NAN, |&(_, g)| g);
+        let median = median_finite(growth.iter().filter(|&&(i, _)| i != isp).map(|&(_, g)| g));
+        (own, median)
+    }
+}
+
+/// The upper median of the finite values. At starvation-level scales
+/// every value can be NaN (a zero pre-window sum), leaving nothing to
+/// take a median over — that yields NaN rather than a panic, so the
+/// claim reading it evaluates as starved.
+fn median_finite(values: impl Iterator<Item = f64>) -> f64 {
+    let mut finite: Vec<f64> = values.filter(|g| g.is_finite()).collect();
+    finite.sort_by(|a, b| a.partial_cmp(b).expect("finite growths"));
+    finite.get(finite.len() / 2).copied().unwrap_or(f64::NAN)
 }
 
 fn ratio(post: u64, pre: u64) -> f64 {
@@ -386,6 +421,14 @@ mod tests {
         let isp2 = growth.iter().find(|(i, _)| *i == 2).unwrap().1;
         assert!((isp0 - 1.0).abs() < 1e-12, "flat ISP: {isp0}");
         assert!(isp2 > 1.3, "bumped ISP: {isp2}");
+        // ISP 2 against the median of the others (ISP 0 alone).
+        assert_eq!(a.berlin_isp_vs_rest(2, 1..3, 3..5), (isp2, isp0));
+        let (absent, median) = a.berlin_isp_vs_rest(9, 1..3, 3..5);
+        assert!(
+            absent.is_nan(),
+            "an ISP without Berlin traffic has no growth"
+        );
+        assert_eq!(median, isp2, "upper median of {{1.0, isp2}}");
     }
 
     #[test]
@@ -398,6 +441,7 @@ mod tests {
         };
         assert!(a.national_growth(0..3, 3..6).is_nan());
         assert!(a.district_growth(DistrictId(0), 0..3, 3..6).is_nan());
+        assert!(a.berlin_isp_vs_rest(0, 1..3, 3..5).1.is_nan());
     }
 
     #[test]

@@ -32,8 +32,8 @@ use cwa_geo::{DistrictId, Germany};
 use cwa_netflow::flow::{prefix_of, FlowRecord};
 use cwa_netflow::sink::{FlowChunk, FlowSink};
 
-use crate::geoloc::{attribution_index, GeoDayAccumulator, GeolocationPipeline};
-use crate::outbreak::OutbreakAccumulator;
+use crate::geoloc::{attribution_index, GeoDayAccumulator, GeoResult, GeolocationPipeline};
+use crate::outbreak::{OutbreakAccumulator, OutbreakAnalysis};
 use crate::persistence::PersistenceAnalysis;
 use crate::timeseries::HourlySeries;
 
@@ -586,137 +586,38 @@ pub struct WindowSnapshot {
 }
 
 impl WindowSnapshot {
-    /// Total flows inside the window.
-    pub fn flows(&self) -> u64 {
-        self.hourly_flows.iter().sum()
-    }
-
-    /// Window flows geolocated to some district.
-    pub fn located_flows(&self) -> u64 {
-        self.district_flows.iter().sum()
-    }
-
-    /// Flows per window day, oldest first (24-hour sums of
-    /// [`hourly_flows`](WindowSnapshot::hourly_flows)).
-    pub fn daily_flows(&self) -> Vec<u64> {
-        self.hourly_flows
-            .chunks(24)
-            .map(|day| day.iter().sum())
-            .collect()
-    }
-
-    /// True when every absolute day of `days` still has raw window data.
-    pub fn contains_days(&self, days: std::ops::Range<u64>) -> bool {
-        days.start >= self.from_day && days.end <= self.to_day
-    }
-
-    /// Window-local index of an absolute study day, when in the window.
-    fn day_index(&self, day: u64) -> Option<usize> {
-        (day >= self.from_day && day < self.to_day).then(|| (day - self.from_day) as usize)
-    }
-
-    /// Release-day jump `day1 / day0` — evaluable only while day 0 is
-    /// still inside the window (NaN otherwise, exactly like an empty
-    /// [`HourlySeries`]).
-    pub fn release_jump(&self) -> f64 {
-        if self.from_day != 0 {
-            return f64::NAN;
+    /// The window as an [`HourlySeries`] indexed from study hour 0
+    /// (hours before the window are zero), so the series' statistics
+    /// read absolute study days.
+    pub fn series(&self) -> HourlySeries {
+        let lead = vec![0; self.from_day as usize * 24];
+        HourlySeries {
+            flows: [&lead[..], &self.hourly_flows].concat(),
+            bytes: [&lead[..], &self.hourly_bytes].concat(),
         }
-        let daily = self.daily_flows();
-        if daily.len() < 2 || daily[0] == 0 {
-            return f64::NAN;
+    }
+
+    /// The window's geolocations as a [`GeoResult`].
+    pub fn geo(&self) -> GeoResult {
+        GeoResult::from_counts(self.district_flows.clone(), self.attributions)
+    }
+
+    /// The window's per-day state and Berlin per-ISP tables as an
+    /// [`OutbreakAnalysis`] indexed by study day (days before the window
+    /// are zero). The window keeps no per-district days, so the district
+    /// tables are empty.
+    pub fn outbreak(&self) -> OutbreakAnalysis {
+        let lead = self.from_day as usize;
+        OutbreakAnalysis {
+            district_flows: Vec::new(),
+            state_flows: [&vec![[0; 16]; lead][..], &self.state_daily].concat(),
+            berlin_isp_flows: self
+                .berlin_isp_daily
+                .iter()
+                .map(|(isp, series)| (*isp, [&vec![0; lead][..], series].concat()))
+                .collect(),
+            days: self.to_day as u32,
         }
-        daily[1] as f64 / daily[0] as f64
-    }
-
-    /// Fraction of districts with at least `min_flows` window flows.
-    pub fn coverage(&self, min_flows: u64) -> f64 {
-        if self.district_flows.is_empty() {
-            return f64::NAN;
-        }
-        let covered = self
-            .district_flows
-            .iter()
-            .filter(|&&f| f >= min_flows)
-            .count();
-        covered as f64 / self.district_flows.len() as f64
-    }
-
-    /// Share of window geolocations attributed to router ground truth
-    /// (attribution order: ground truth, geo database, unlocated).
-    pub fn ground_truth_share(&self) -> f64 {
-        let gt = self.attributions[0] as f64;
-        let db = self.attributions[1] as f64;
-        if gt + db == 0.0 {
-            return f64::NAN;
-        }
-        gt / (gt + db)
-    }
-
-    /// Window flows per federal state across an absolute-day range
-    /// (days outside the window contribute nothing).
-    pub fn state_sum(&self, days: std::ops::Range<u64>) -> [u64; 16] {
-        let mut out = [0u64; 16];
-        for day in days {
-            if let Some(i) = self.day_index(day) {
-                for (o, s) in out.iter_mut().zip(&self.state_daily[i]) {
-                    *o += s;
-                }
-            }
-        }
-        out
-    }
-
-    /// Per-state growth ratio `post/pre` over absolute-day ranges
-    /// (NaN where the pre-window sum is zero).
-    pub fn state_growth(&self, pre: std::ops::Range<u64>, post: std::ops::Range<u64>) -> [f64; 16] {
-        let pre_sums = self.state_sum(pre);
-        let post_sums = self.state_sum(post);
-        let mut out = [f64::NAN; 16];
-        for ((o, &p), &q) in out.iter_mut().zip(&pre_sums).zip(&post_sums) {
-            if p > 0 {
-                *o = q as f64 / p as f64;
-            }
-        }
-        out
-    }
-
-    /// Per-ISP growth of Berlin-located window traffic over
-    /// absolute-day ranges, sorted by ISP id (NaN where pre is zero).
-    pub fn berlin_isp_growth(
-        &self,
-        pre: std::ops::Range<u64>,
-        post: std::ops::Range<u64>,
-    ) -> Vec<(u8, f64)> {
-        let sum = |series: &[u64], days: std::ops::Range<u64>| -> u64 {
-            days.filter_map(|d| self.day_index(d).and_then(|i| series.get(i)))
-                .sum()
-        };
-        self.berlin_isp_daily
-            .iter()
-            .map(|(isp, series)| {
-                let p = sum(series, pre.clone());
-                let q = sum(series, post.clone());
-                let growth = if p == 0 {
-                    f64::NAN
-                } else {
-                    q as f64 / p as f64
-                };
-                (*isp, growth)
-            })
-            .collect()
-    }
-
-    /// Berlin-located window flows summed across ISPs and a day range.
-    pub fn berlin_sum(&self, days: std::ops::Range<u64>) -> u64 {
-        self.berlin_isp_daily
-            .iter()
-            .map(|(_, series)| {
-                days.clone()
-                    .filter_map(|d| self.day_index(d).and_then(|i| series.get(i)))
-                    .sum::<u64>()
-            })
-            .sum()
     }
 }
 
@@ -1087,9 +988,10 @@ mod tests {
         assert!(a.snapshot().hours_seen > frozen.hours_seen);
     }
 
-    /// The window-snapshot claim inputs over a hand-built snapshot.
+    /// The window snapshot converts into the analysis types the claim
+    /// table reads, indexed by absolute study day.
     #[test]
-    fn window_snapshot_claim_inputs() {
+    fn window_snapshot_converts_to_analysis_types() {
         let snap = WindowSnapshot {
             from_day: 0,
             to_day: 3,
@@ -1115,37 +1017,45 @@ mod tests {
             berlin_isp_daily: vec![(1, vec![2, 4, 8]), (2, vec![5, 5, 0])],
             distinct_prefixes: 7,
         };
-        assert_eq!(snap.flows(), 22);
-        assert_eq!(snap.located_flows(), 10);
-        assert_eq!(snap.daily_flows(), vec![4, 12, 6]);
-        assert!((snap.release_jump() - 3.0).abs() < 1e-12);
-        assert!((snap.coverage(1) - 0.75).abs() < 1e-12);
-        assert!((snap.ground_truth_share() - 9.0 / 50.0).abs() < 1e-12);
-        assert!(snap.contains_days(0..3));
-        assert!(!snap.contains_days(0..4));
-        assert_eq!(snap.state_sum(0..2), {
-            let mut s = [0u64; 16];
-            s[0] = 30;
-            s[1] = 8;
-            s
-        });
-        let growth = snap.state_growth(0..1, 1..2);
+        let series = snap.series();
+        assert_eq!(series.total_flows(), 22);
+        assert_eq!(series.daily_flows(), vec![4, 12, 6]);
+        assert!((series.release_jump() - 3.0).abs() < 1e-12);
+        let geo = snap.geo();
+        assert_eq!(geo.district_flows.iter().sum::<u64>(), 10);
+        assert!((geo.coverage(1) - 0.75).abs() < 1e-12);
+        assert!((geo.ground_truth_share() - 9.0 / 50.0).abs() < 1e-12);
+        let outbreak = snap.outbreak();
+        assert_eq!(outbreak.state_flows[0][0] + outbreak.state_flows[1][0], 30);
+        assert_eq!(outbreak.state_flows[0][1] + outbreak.state_flows[1][1], 8);
+        assert_eq!(outbreak.national_sum(0..2), 38);
+        let growth = outbreak.state_growth(0..1, 1..2);
         assert!((growth[0] - 2.0).abs() < 1e-12);
         assert!((growth[1] - 1.0).abs() < 1e-12);
         assert!(growth[2].is_nan(), "zero pre-sum is NaN, not inf");
-        let berlin = snap.berlin_isp_growth(0..1, 1..3);
+        let berlin = outbreak.berlin_isp_growth(0..1, 1..3);
         assert_eq!(berlin.len(), 2);
         assert!((berlin[0].1 - 6.0).abs() < 1e-12);
         assert!((berlin[1].1 - 1.0).abs() < 1e-12);
-        assert_eq!(snap.berlin_sum(0..2), 16);
+        assert_eq!(outbreak.berlin_sum(0..2), 16);
+        // Ranges past the window's end read nothing.
+        assert_eq!(outbreak.national_sum(3..5), 0);
 
-        // A window that has slid past day 0 cannot evaluate the jump.
+        // A window that has slid past day 0 cannot evaluate the jump;
+        // its days keep their absolute study-day indices.
         let slid = WindowSnapshot {
             from_day: 2,
             to_day: 5,
             ..snap
         };
-        assert!(slid.release_jump().is_nan());
-        assert_eq!(slid.state_sum(0..2), [0u64; 16]);
+        let series = slid.series();
+        assert!(series.release_jump().is_nan());
+        assert_eq!(series.daily_flows(), vec![0, 0, 4, 12, 6]);
+        let outbreak = slid.outbreak();
+        assert_eq!(outbreak.national_sum(0..2), 0);
+        assert_eq!(outbreak.national_sum(2..4), 38);
+        assert!(outbreak.state_growth(0..1, 1..2).iter().all(|g| g.is_nan()));
+        assert!((outbreak.berlin_isp_growth(2..3, 3..5)[0].1 - 6.0).abs() < 1e-12);
+        assert_eq!(outbreak.berlin_sum(2..4), 16);
     }
 }

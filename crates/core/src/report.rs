@@ -224,7 +224,14 @@ fn format_value(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::claims::{Claim, ClaimId};
+    use crate::claims::{ClaimDef, ClaimId, CLAIMS};
+
+    fn c2() -> &'static ClaimDef {
+        CLAIMS
+            .iter()
+            .find(|def| def.id == ClaimId::C2ReleaseJump)
+            .expect("in the table")
+    }
     use cwa_analysis::geoloc::GeoResult;
     use cwa_geo::Germany;
     use cwa_simnet::SimConfig;
@@ -257,14 +264,7 @@ mod tests {
                 downloads_millions: vec![None, Some(1.0)],
             },
             figure3: Figure3::assemble(&g, &geo),
-            claims: vec![Claim::evaluate(
-                ClaimId::C2ReleaseJump,
-                "7.5x jump",
-                Some(7.5),
-                if pass { 7.0 } else { 1.0 },
-                (4.0, 12.0),
-                String::new(),
-            )],
+            claims: vec![c2().judge(if pass { 7.0 } else { 1.0 }, 500, 123, String::new())],
             matching_flows: 123,
             total_records: 456,
             district_flows: vec![1; g.len()],
@@ -288,11 +288,8 @@ mod tests {
 
     #[test]
     fn starved_claims_are_not_failures() {
-        use crate::claims::Cell;
         let mut report = dummy_report(true);
-        report.claims[0] = report.claims[0]
-            .clone()
-            .with_starvation(Cell::GeoWindow, 0, 100, 123);
+        report.claims[0] = c2().judge(7.0, 0, 123, String::new());
         assert!(report.failures().is_empty(), "starved ≠ failed");
         assert_eq!(report.starved().len(), 1);
         assert!(!report.all_passed(), "but starved is not a pass either");

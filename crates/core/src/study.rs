@@ -19,47 +19,16 @@ use cwa_analysis::persistence::PersistenceAnalysis;
 use cwa_analysis::stream::{stage, Chain, Consumers, StreamCounts};
 use cwa_analysis::timeseries::HourlySeries;
 use cwa_analysis::windowed::{WindowSnapshot, WindowedView};
-use cwa_epidemic::timeline::{JULY_24_DAY, MILESTONE_36H_HOUR};
 use cwa_epidemic::{AdoptionCurve, AdoptionModel, Scenario, Timeline};
-use cwa_geo::{AddressPlan, FederalState, Germany};
+use cwa_geo::{AddressPlan, Germany};
 use cwa_netflow::sink::{FlowChunk, FlowSink};
 use cwa_simnet::{
     DnsStudy, IspSideEntry, PreparedSim, ShardKeyMode, SimConfig, SimOutput, Simulation,
 };
 
-use crate::claims::{Cell, Claim, ClaimId};
+use crate::claims::{Evidence, RunEvidence};
 use crate::live::{LiveOptions, WindowVerdicts};
 use crate::report::{PhaseTiming, RunManifest, StudyReport};
-
-/// Minimum per-cell observation counts below which the claims reading a
-/// cell are reported as [`Verdict::Starved`](crate::claims::Verdict)
-/// instead of pass/fail. The thresholds were tuned empirically across
-/// scales 0.0005–0.02: at scale 0.02 every cell clears its threshold
-/// (the full claim table evaluates, nothing starves); at 0.01 the day-1
-/// geo window is the first cell to drop under (≈1.4k located flows —
-/// its C5b share estimate is visibly noise-driven there); at 0.005 the
-/// Berlin per-ISP window follows (≈75 pre-window flows); and the
-/// default `test_small` scale 0.004 additionally drains the Gütersloh
-/// pre-window. A starved cell means "not enough observations to judge",
-/// never "the claim failed".
-pub mod min_support {
-    /// §2 matching flows for C1 — any evidence at all.
-    pub const FLOWS: u64 = 1;
-    /// Pre-release-day flows for the C2 jump denominator.
-    pub const DAY0_FLOWS: u64 = 25;
-    /// Distinct prefixes behind the C4 persistence quantiles.
-    pub const PREFIXES: u64 = 20;
-    /// Located flows in the 10-day geo window (C5a, C7c).
-    pub const GEO_10DAY_FLOWS: u64 = 5_000;
-    /// Located flows in the day-1 geo window (C5b).
-    pub const GEO_DAY1_FLOWS: u64 = 2_000;
-    /// National pre-window flows for the C6a growth ratio.
-    pub const OUTBREAK_NATIONAL_PRE: u64 = 400;
-    /// Gütersloh pre-window flows for the C6b growth ratio.
-    pub const OUTBREAK_DISTRICT_PRE: u64 = 12;
-    /// Berlin per-ISP pre-window flows for C6c.
-    pub const OUTBREAK_BERLIN_PRE: u64 = 100;
-}
 
 /// A structured failure of a study run. Since starvation degraded into
 /// per-claim [`Verdict::Starved`](crate::claims::Verdict) verdicts,
@@ -255,6 +224,22 @@ impl AnalysisProducts {
             total_records: counts.records_in,
         }
     }
+
+    /// The products of a live view's study tier, copied so the view
+    /// keeps serving.
+    fn from_view<F>(view: &WindowedView<'_, F>, counts: &StreamCounts, days: u32) -> Self
+    where
+        F: Fn(Ipv4Addr) -> Option<u8>,
+    {
+        AnalysisProducts::new(
+            view.series.clone(),
+            &view.geo,
+            view.persistence.clone(),
+            view.outbreak.to_analysis(),
+            counts,
+            days,
+        )
+    }
 }
 
 /// The consumer names of every streaming chain, in the order
@@ -326,6 +311,33 @@ impl<'a> ReportContext<'a> {
             dns: &sim.dns,
         }
     }
+
+    /// Re-judges the claim table over the sliding last-N-days window of
+    /// a live run, so a standing observation can distinguish "passing
+    /// now" from "passed overall". The window holds no whole-run inputs
+    /// ([`RunEvidence`]), so C3–C4, C5b, C6b and C7a/b are absent, and
+    /// the day-anchored claims are judged only while their days are
+    /// inside the window.
+    fn window_verdicts(&self, window: &WindowSnapshot, matching_flows: u64) -> WindowVerdicts {
+        let series = window.series();
+        let verdicts = Evidence {
+            scale: self.config.scale,
+            matching_flows,
+            flows: series.total_flows(),
+            window: Some(window.from_day..window.to_day),
+            series: &series,
+            geo: &window.geo(),
+            outbreak: &window.outbreak(),
+            plan: self.plan,
+            run: None,
+        }
+        .judge();
+        WindowVerdicts {
+            from_day: window.from_day,
+            to_day: window.to_day,
+            verdicts,
+        }
+    }
 }
 
 /// The live chain's consumers: a [`WindowedView`] (the four study-tier
@@ -384,7 +396,7 @@ where
             std::thread::sleep(pace);
         }
         if let Some(publisher) = &self.publisher {
-            publisher.tick(&self.view, counts);
+            publisher.publish(&self.view, counts, None);
         }
     }
 
@@ -393,10 +405,10 @@ where
     }
 }
 
-/// Publishes interim documents into the live mailbox: the three figure
-/// documents after every export hour, a full `/report` envelope at
-/// every day boundary (claim evaluation per hour would dominate small
-/// replays).
+/// Publishes documents into the live mailbox: the three figure
+/// documents after every export hour, and a full `/report` envelope at
+/// every day boundary and at the end of the run (claim evaluation per
+/// hour would dominate small replays).
 struct LivePublisher<'a> {
     study: &'a Study,
     ctx: ReportContext<'a>,
@@ -404,12 +416,19 @@ struct LivePublisher<'a> {
 }
 
 impl LivePublisher<'_> {
-    fn tick<F>(&self, view: &WindowedView<'_, F>, counts: &StreamCounts)
-    where
+    /// Publishes the view's current state. `finished` is the end-of-run
+    /// report, served as is; without it, an interim report is assembled
+    /// from the view at day boundaries.
+    fn publish<F>(
+        &self,
+        view: &WindowedView<'_, F>,
+        counts: &StreamCounts,
+        finished: Option<&StudyReport>,
+    ) where
         F: Fn(Ipv4Addr) -> Option<u8>,
     {
         // Publication overhead is itself observable: `live.publish_ns`
-        // times every tick, `live.publishes` counts them.
+        // times every publication, `live.publishes` counts them.
         let _span = self
             .study
             .metrics
@@ -417,219 +436,31 @@ impl LivePublisher<'_> {
             .map(|m| m.span("live.publish_ns"));
         let snap = view.snapshot();
         crate::live::publish_figures(&self.live, &snap);
-        if view.hours_seen() % 24 == 0 {
-            let days = self.ctx.config.days;
-            let products = AnalysisProducts::new(
-                view.series.clone(),
-                &view.geo,
-                view.persistence.clone(),
-                view.outbreak.to_analysis(),
-                counts,
+        let days = self.ctx.config.days;
+        let interim = if finished.is_none() && view.hours_seen() % 24 == 0 {
+            let products = AnalysisProducts::from_view(view, counts, days);
+            self.study
+                .assemble_report_ctx(&self.ctx, products, Vec::new(), false)
+                .ok()
+        } else {
+            None
+        };
+        if let Some(report) = finished.or(interim.as_ref()) {
+            let window = self
+                .ctx
+                .window_verdicts(&snap.window, counts.records_matched);
+            self.live.publish_report(crate::live::render_report(
+                report,
+                snap.day,
+                snap.hours_seen,
                 days,
-            );
-            if let Ok(report) =
-                self.study
-                    .assemble_report_ctx(&self.ctx, products, Vec::new(), false)
-            {
-                let window =
-                    evaluate_window_claims(&self.ctx, &snap.window, counts.records_matched);
-                self.live.publish_report(crate::live::render_report(
-                    &report,
-                    snap.day,
-                    snap.hours_seen,
-                    days,
-                    false,
-                    &window,
-                ));
-            }
+                finished.is_some(),
+                &window,
+            ));
         }
         if let Some(registry) = &self.study.metrics {
             registry.counter("live.publishes").add(1);
         }
-    }
-}
-
-/// Re-judges the window-evaluable subset of the claim table over the
-/// sliding last-N-days window of a live run, so a standing observation
-/// can distinguish "passing now" from "passed overall". Claims whose
-/// inputs cannot be re-derived from the raw window are omitted: C3/C7a/
-/// C7b read public side data, C4 needs the lifetime persistence bitmap,
-/// C5b needs a day-1 slice the window eventually evicts, and C6b needs
-/// per-district outbreak days beyond the windowed state tier. Day-
-/// anchored claims (C2, C6a, C6c) are evaluated only while their
-/// anchor days are still inside the window.
-fn evaluate_window_claims(
-    ctx: &ReportContext<'_>,
-    window: &WindowSnapshot,
-    matching_flows: u64,
-) -> WindowVerdicts {
-    let scale = ctx.config.scale;
-    let mut verdicts = Vec::new();
-
-    // C1: matching flows inside the window, scale-adjusted against the
-    // same §2 band (the window spans the paper's whole 11-day
-    // observation until days start falling off the back).
-    let window_flows = window.flows();
-    verdicts.push(
-        Claim::evaluate(
-            ClaimId::C1MatchingFlows,
-            "≈3.3M matching flows within June 15–25 (§2)",
-            Some(3.3e6),
-            window_flows as f64 / scale,
-            (1.5e6, 6.5e6),
-            format!(
-                "{window_flows} window flows at scale {scale}, days {}..{}",
-                window.from_day, window.to_day
-            ),
-        )
-        .with_starvation(
-            Cell::Flows,
-            window_flows,
-            min_support::FLOWS,
-            matching_flows,
-        ),
-    );
-
-    // C2: the release-day jump, while day 0 is still in the window.
-    if window.from_day == 0 {
-        let day0 = window.daily_flows().first().copied().unwrap_or(0);
-        verdicts.push(
-            Claim::evaluate(
-                ClaimId::C2ReleaseJump,
-                "7.5× increase of flows on June 16 (§3)",
-                Some(7.5),
-                window.release_jump(),
-                (4.0, 12.0),
-                format!("window daily flows: {:?}", window.daily_flows()),
-            )
-            .with_starvation(
-                Cell::HourlySeries,
-                day0,
-                min_support::DAY0_FLOWS,
-                matching_flows,
-            ),
-        );
-    }
-
-    // C5a: district coverage of the window itself.
-    let located = window.located_flows();
-    verdicts.push(
-        Claim::evaluate(
-            ClaimId::C5aCoverage10Day,
-            "almost all districts emit requests over 10 days (Fig. 3)",
-            None,
-            window.coverage(1),
-            (0.95, 1.0),
-            String::new(),
-        )
-        .with_starvation(
-            Cell::GeoWindow,
-            located,
-            min_support::GEO_10DAY_FLOWS,
-            matching_flows,
-        ),
-    );
-
-    // C6a: the June-23 national (non-)effect, while both comparison
-    // windows (days 5..8 pre, 8..11 post) are inside the window.
-    if window.contains_days(5..11) {
-        let growth = window.state_growth(5..8, 8..11);
-        let nrw = growth[FederalState::NordrheinWestfalen.index()];
-        let mut others: Vec<f64> = growth
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != FederalState::NordrheinWestfalen.index())
-            .map(|(_, &g)| g)
-            .filter(|g| g.is_finite())
-            .collect();
-        others.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let median_rest = others.get(others.len() / 2).copied().unwrap_or(f64::NAN);
-        let national_pre: u64 = window.state_sum(5..8).iter().sum();
-        verdicts.push(
-            Claim::evaluate(
-                ClaimId::C6aNrwVsRest,
-                "June-23 increase occurs in all states, not only NRW (§3)",
-                None,
-                nrw / median_rest,
-                (0.80, 1.25),
-                format!("NRW growth {nrw:.3}, median other states {median_rest:.3}"),
-            )
-            .with_starvation(
-                Cell::Outbreak,
-                national_pre,
-                min_support::OUTBREAK_NATIONAL_PRE,
-                matching_flows,
-            ),
-        );
-    }
-
-    // C6c: the Berlin single-ISP signature, while days 1..5 are inside
-    // the window.
-    if window.contains_days(1..5) {
-        let gt_isp = ctx
-            .plan
-            .isps
-            .iter()
-            .find(|i| i.ground_truth_routers)
-            .map(|i| i.id.0)
-            .unwrap_or(u8::MAX);
-        let berlin_growth = window.berlin_isp_growth(1..3, 3..5);
-        let gt_growth = berlin_growth
-            .iter()
-            .find(|(isp, _)| *isp == gt_isp)
-            .map(|&(_, g)| g)
-            .unwrap_or(f64::NAN);
-        let mut others: Vec<f64> = berlin_growth
-            .iter()
-            .filter(|(isp, _)| *isp != gt_isp)
-            .map(|&(_, g)| g)
-            .filter(|g| g.is_finite())
-            .collect();
-        others.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let other_median = others.get(others.len() / 2).copied().unwrap_or(f64::NAN);
-        let berlin_pre = window.berlin_sum(1..3);
-        verdicts.push(
-            Claim::evaluate(
-                ClaimId::C6cBerlinSingleIsp,
-                "Berlin June-18 outbreak visible only within a single ISP (§3)",
-                None,
-                gt_growth / other_median,
-                (1.10, 6.0),
-                format!(
-                    "ground-truth ISP growth {gt_growth:.3}, median other ISPs {other_median:.3}"
-                ),
-            )
-            .with_starvation(
-                Cell::Outbreak,
-                berlin_pre,
-                min_support::OUTBREAK_BERLIN_PRE,
-                matching_flows,
-            ),
-        );
-    }
-
-    // C7c: ground-truth attribution share of the window geolocations.
-    verdicts.push(
-        Claim::evaluate(
-            ClaimId::C7cGroundTruthShare,
-            "18% of geolocations from router ground truth (§3)",
-            Some(0.18),
-            window.ground_truth_share(),
-            (0.12, 0.25),
-            String::new(),
-        )
-        .with_starvation(
-            Cell::GeoWindow,
-            located,
-            min_support::GEO_10DAY_FLOWS,
-            matching_flows,
-        ),
-    );
-
-    WindowVerdicts {
-        from_day: window.from_day,
-        to_day: window.to_day,
-        verdicts,
     }
 }
 
@@ -664,7 +495,7 @@ where
         merged.view.absorb(&part.view);
         merged.counts.absorb(&part.counts);
     }
-    publisher.tick(&merged.view, &merged.counts);
+    publisher.publish(&merged.view, &merged.counts, None);
     true
 }
 
@@ -1034,32 +865,11 @@ impl Study {
 
         let (live_view, counts) = merged.into_results();
         let view = live_view.view;
-        let snapshot = view.snapshot();
-        let products = AnalysisProducts::new(
-            view.series,
-            &view.geo,
-            view.persistence,
-            view.outbreak.into_analysis(),
-            &counts,
-            days,
-        );
+        let products = AnalysisProducts::from_view(&view, &counts, days);
         let report = self.streamed_report(&ctx, products, &counts, timings)?;
-        if let Some(live) = &opts.publish {
+        if let Some(publisher) = publisher() {
             // The served end state is exactly the returned report.
-            let _span = self.metrics.as_ref().map(|m| m.span("live.publish_ns"));
-            let window = evaluate_window_claims(&ctx, &snapshot.window, report.matching_flows);
-            crate::live::publish_figures(live, &snapshot);
-            live.publish_report(crate::live::render_report(
-                &report,
-                snapshot.day,
-                snapshot.hours_seen,
-                days,
-                true,
-                &window,
-            ));
-            if let Some(registry) = &self.metrics {
-                registry.counter("live.publishes").add(1);
-            }
+            publisher.publish(&view, &counts, Some(&report));
         }
         Ok(report)
     }
@@ -1235,7 +1045,6 @@ impl Study {
         let cfg = &self.config;
         let days = sim.config.days;
         let hours = days * 24;
-        let scale = sim.config.scale;
         let AnalysisProducts {
             series,
             geo_10day,
@@ -1268,306 +1077,24 @@ impl Study {
         );
         self.record_phase(&mut timings, "analysis.adoption", t.elapsed());
 
-        // Per-cell support: how many observations each claim's input
-        // cell actually carries. A cell below its threshold (see
-        // [`min_support`]) starves the claims reading it — reported as
-        // `Verdict::Starved`, never as NaN or a bogus pass/fail.
-        let daily = series.daily_flows();
-        let day0_flows = daily.first().copied().unwrap_or(0);
-        let geo10_flows: u64 = geo_10day.district_flows.iter().sum();
-        let geo1_flows: u64 = geo_day1.district_flows.iter().sum();
-        let prefix_support = persistence.prefix_count() as u64;
-        let national_pre: u64 = (5..8)
-            .filter_map(|d| outbreak.state_flows.get(d))
-            .map(|states| states.iter().sum::<u64>())
-            .sum();
-        let guetersloh_idx = sim
-            .germany
-            .by_name("Gütersloh")
-            .map(|d| usize::from(d.id.0));
-        let guetersloh_pre: u64 = (5..8)
-            .filter_map(|d| outbreak.district_flows.get(d))
-            .map(|row| {
-                guetersloh_idx
-                    .and_then(|i| row.get(i))
-                    .copied()
-                    .unwrap_or(0)
-            })
-            .sum();
-        let berlin_pre: u64 = outbreak
-            .berlin_isp_flows
-            .values()
-            .map(|per_day| (1..3).filter_map(|d| per_day.get(d)).sum::<u64>())
-            .sum();
-
-        if std::env::var_os("CWA_DEBUG_SUPPORT").is_some() {
-            eprintln!(
-                "SUPPORT scale={scale} matching={matching_flows} day0={day0_flows} \
-                 prefixes={prefix_support} geo10={geo10_flows} geo1={geo1_flows} \
-                 national_pre={national_pre} guetersloh_pre={guetersloh_pre} \
-                 berlin_pre={berlin_pre}"
-            );
-        }
-
-        let mut claims = Vec::new();
-
-        // ---- C1: ≈3.3 M matching flows (scale-adjusted). ----
-        let flows_fullscale = matching_flows as f64 / scale;
-        claims.push(
-            Claim::evaluate(
-                ClaimId::C1MatchingFlows,
-                "≈3.3M matching flows within June 15–25 (§2)",
-                Some(3.3e6),
-                flows_fullscale,
-                (1.5e6, 6.5e6),
-                format!("{matching_flows} records at scale {scale}"),
-            )
-            .with_starvation(
-                Cell::Flows,
-                matching_flows,
-                min_support::FLOWS,
-                matching_flows,
-            ),
-        );
-
-        // ---- C2: 7.5× release-day jump. ----
-        let jump = series.release_jump();
-        claims.push(
-            Claim::evaluate(
-                ClaimId::C2ReleaseJump,
-                "7.5× increase of flows on June 16 (§3)",
-                Some(7.5),
-                jump,
-                (4.0, 12.0),
-                format!("daily flows: {:?}", series.daily_flows()),
-            )
-            .with_starvation(
-                Cell::HourlySeries,
-                day0_flows,
-                min_support::DAY0_FLOWS,
-                matching_flows,
-            ),
-        );
-
-        // ---- C3: download milestones. ----
-        let d36 = adoption_long.downloads_at(MILESTONE_36H_HOUR);
-        claims.push(Claim::evaluate(
-            ClaimId::C3aDownloads36h,
-            "6.4M downloads 36 h after release (§3)",
-            Some(6.4e6),
-            d36,
-            (5.4e6, 7.4e6),
-            String::new(),
-        ));
-        let dj24 = adoption_long.downloads_at(JULY_24_DAY * 24 + 23);
-        claims.push(Claim::evaluate(
-            ClaimId::C3bDownloadsJuly24,
-            "16.2M total downloads by July 24 (§3)",
-            Some(16.2e6),
-            dj24,
-            (15.0e6, 17.5e6),
-            String::new(),
-        ));
-
-        // ---- C4: prefix persistence quantiles. ----
-        let median = persistence.fraction_quantile(0.5);
-        let p75 = persistence.fraction_quantile(0.75);
-        claims.push(
-            Claim::evaluate(
-                ClaimId::C4aPersistenceMedian,
-                "50% of prefixes occur in 67% of possible days (§3)",
-                Some(0.67),
-                median,
-                (0.45, 0.90),
-                format!(
-                    "{} prefixes at /{}",
-                    persistence.prefix_count(),
-                    cfg.persistence_prefix_len
-                ),
-            )
-            .with_starvation(
-                Cell::Persistence,
-                prefix_support,
-                min_support::PREFIXES,
-                matching_flows,
-            ),
-        );
-        claims.push(
-            Claim::evaluate(
-                ClaimId::C4bPersistenceP75,
-                "75% of prefixes occur in ≤80% of possible days (§3)",
-                Some(0.80),
-                p75,
-                (0.60, 1.0),
-                String::new(),
-            )
-            .with_starvation(
-                Cell::Persistence,
-                prefix_support,
-                min_support::PREFIXES,
-                matching_flows,
-            ),
-        );
-
-        // ---- C5: district coverage. ----
-        let cov10 = geo_10day.coverage(1);
-        claims.push(
-            Claim::evaluate(
-                ClaimId::C5aCoverage10Day,
-                "almost all districts emit requests over 10 days (Fig. 3)",
-                None,
-                cov10,
-                (0.95, 1.0),
-                String::new(),
-            )
-            .with_starvation(
-                Cell::GeoWindow,
-                geo10_flows,
-                min_support::GEO_10DAY_FLOWS,
-                matching_flows,
-            ),
-        );
-        let cov1 = geo_day1.coverage(1);
-        claims.push(
-            Claim::evaluate(
-                ClaimId::C5bCoverageDay1,
-                "the first-day map is almost the same (§3)",
-                None,
-                cov1 / cov10.max(1e-9),
-                (0.85, 1.01),
-                format!("day-1 coverage {cov1:.3}, 10-day coverage {cov10:.3}"),
-            )
-            .with_starvation(
-                Cell::GeoWindow,
-                geo1_flows,
-                min_support::GEO_DAY1_FLOWS,
-                matching_flows,
-            ),
-        );
-
-        // ---- C6: outbreak (non-)effects. ----
-        // Windows around June 23: pre = Jun 20–22 (days 5..8),
-        // post = Jun 23–25 (days 8..11).
-        let (nrw, median_rest, _within) = outbreak.nrw_vs_rest(5..8, 8..11, 1.25);
-        claims.push(
-            Claim::evaluate(
-                ClaimId::C6aNrwVsRest,
-                "June-23 increase occurs in all states, not only NRW (§3)",
-                None,
-                nrw / median_rest,
-                (0.80, 1.25),
-                format!("NRW growth {nrw:.3}, median other states {median_rest:.3}"),
-            )
-            .with_starvation(
-                Cell::Outbreak,
-                national_pre,
-                min_support::OUTBREAK_NATIONAL_PRE,
-                matching_flows,
-            ),
-        );
-
-        let national = outbreak.national_growth(5..8, 8..11);
-        let guetersloh = sim
-            .germany
-            .by_name("Gütersloh")
-            .map(|d| outbreak.district_growth(d.id, 5..8, 8..11))
-            .unwrap_or(f64::NAN);
-        claims.push(
-            Claim::evaluate(
-                ClaimId::C6bGuetersloh,
-                "Gütersloh itself increased only very slightly (§3)",
-                None,
-                guetersloh / national,
-                // The substantive bound is the upper one: a *local* effect
-                // would push Gütersloh well above the national growth. The
-                // district's small per-day counts make the ratio noisy
-                // downward at reduced scales.
-                (0.5, 1.5),
-                format!("Gütersloh growth {guetersloh:.3}, national {national:.3}"),
-            )
-            .with_starvation(
-                Cell::Outbreak,
-                guetersloh_pre,
-                min_support::OUTBREAK_DISTRICT_PRE,
-                matching_flows,
-            ),
-        );
-
-        // Berlin June 18: pre = Jun 16–17 (days 1..3), post = Jun 18–19
-        // (days 3..5). Compare the ground-truth ISP's growth of
-        // Berlin-located traffic against the median of the other ISPs.
-        let gt_isp = sim
-            .plan
-            .isps
-            .iter()
-            .find(|i| i.ground_truth_routers)
-            .map(|i| i.id.0)
-            .unwrap_or(u8::MAX);
-        let berlin_growth = outbreak.berlin_isp_growth(1..3, 3..5);
-        let gt_growth = berlin_growth
-            .iter()
-            .find(|(isp, _)| *isp == gt_isp)
-            .map(|&(_, g)| g)
-            .unwrap_or(f64::NAN);
-        let mut others: Vec<f64> = berlin_growth
-            .iter()
-            .filter(|(isp, _)| *isp != gt_isp)
-            .map(|&(_, g)| g)
-            .filter(|g| g.is_finite())
-            .collect();
-        others.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let other_median = others.get(others.len() / 2).copied().unwrap_or(f64::NAN);
-        claims.push(Claim::evaluate(
-            ClaimId::C6cBerlinSingleIsp,
-            "Berlin June-18 outbreak visible only within a single ISP (§3)",
-            None,
-            gt_growth / other_median,
-            (1.10, 6.0),
-            format!(
-                "ground-truth ISP growth {gt_growth:.3}, median other ISPs {other_median:.3}, all: {berlin_growth:?}"
-            ),
-        )
-        .with_starvation(
-            Cell::Outbreak,
-            berlin_pre,
-            min_support::OUTBREAK_BERLIN_PRE,
+        let claims = Evidence {
+            scale: sim.config.scale,
             matching_flows,
-        ));
-
-        // ---- C7: DNS / side-data claims. ----
-        let api_first = sim.dns.api_top1m_days.first().copied();
-        claims.push(Claim::evaluate(
-            ClaimId::C7aUmbrellaApi,
-            "API name entered the Umbrella top 1M late in the window (Jun 24) (§2)",
-            Some(9.0),
-            api_first.map(f64::from).unwrap_or(f64::NAN),
-            (6.0, 10.0),
-            format!("top-1M days: {:?}", sim.dns.api_top1m_days),
-        ));
-        claims.push(Claim::evaluate(
-            ClaimId::C7bUmbrellaWebsite,
-            "the website never appeared in the top 1M (§2)",
-            Some(0.0),
-            sim.dns.website_top1m_days.len() as f64,
-            (0.0, 0.0),
-            String::new(),
-        ));
-        claims.push(
-            Claim::evaluate(
-                ClaimId::C7cGroundTruthShare,
-                "18% of geolocations from router ground truth (§3)",
-                Some(0.18),
-                geo_10day.ground_truth_share(),
-                (0.12, 0.25),
-                String::new(),
-            )
-            .with_starvation(
-                Cell::GeoWindow,
-                geo10_flows,
-                min_support::GEO_10DAY_FLOWS,
-                matching_flows,
-            ),
-        );
+            flows: matching_flows,
+            window: None,
+            series: &series,
+            geo: &geo_10day,
+            outbreak: &outbreak,
+            plan: sim.plan,
+            run: Some(RunEvidence {
+                geo_day1: &geo_day1,
+                persistence: &persistence,
+                germany: sim.germany,
+                downloads: &adoption_long,
+                dns: sim.dns,
+            }),
+        }
+        .judge();
 
         // Run manifest: provenance + timings. The hash covers the
         // configuration as actually simulated (callers can analyze a
@@ -1605,10 +1132,10 @@ impl Study {
             matching_flows,
             total_records,
             district_flows: geo_10day.district_flows.clone(),
-            persistence_median: median,
-            persistence_p75: p75,
+            persistence_median: persistence.fraction_quantile(0.5),
+            persistence_p75: persistence.fraction_quantile(0.75),
             ground_truth_share: geo_10day.ground_truth_share(),
-            release_jump: jump,
+            release_jump: series.release_jump(),
             api_rank_by_day: sim.dns.api_rank.clone(),
             website_rank_by_day: sim.dns.website_rank.clone(),
         })

@@ -97,25 +97,12 @@ pub enum ShardKeyMode {
     /// prefix maps to one anonymized prefix fleet-wide, so merged
     /// per-shard analyses equal the single-vantage run exactly.
     Common,
-    /// Each shard derives its own key from the base key (§2's
-    /// per-engine anonymization). Realistic, but one client prefix
-    /// observed by two shards anonymizes to two different prefixes, so
-    /// cross-shard prefix analyses are no longer merge-exact.
-    PerShard,
 }
 
 /// The per-shard Crypto-PAn keys for an `n`-shard fleet.
 pub fn shard_keys(base: &[u8; 32], n: usize, mode: ShardKeyMode) -> Vec<[u8; 32]> {
     match mode {
         ShardKeyMode::Common => vec![*base; n],
-        ShardKeyMode::PerShard => (0..n)
-            .map(|i| {
-                let mut material = Vec::with_capacity(40);
-                material.extend_from_slice(base);
-                material.extend_from_slice(&(i as u64).to_le_bytes());
-                cwa_crypto::sha256(&material)
-            })
-            .collect(),
     }
 }
 
@@ -360,7 +347,8 @@ pub struct VantageRunStats {
     pub cache: CacheStats,
     /// Export datagrams dropped by the lossy transport.
     pub dropped_datagrams: u64,
-    /// v9 data sets undecodable because their template was lost.
+    /// Datagrams the collector could not decode (a v9 data set whose
+    /// template was lost, or a damaged datagram).
     pub undecodable_datagrams: u64,
     /// High-water mark of records resident in the collector at once.
     /// Under chunked emission (hourly drains to a [`FlowSink`]) this is
@@ -383,7 +371,6 @@ pub struct VantagePoint {
     /// Fleet-wide router count event routing hashes over.
     total_routers: usize,
     collector: Collector,
-    cryptopan: CryptoPan,
     plan_prefix_len: u8,
     format: ExportFormat,
     v9_decoder: V9Decoder,
@@ -400,7 +387,7 @@ struct Transport {
     rng: ChaCha8Rng,
     /// Datagrams dropped by fault injection.
     pub dropped_datagrams: u64,
-    /// v9 data sets skipped because their template was lost.
+    /// Datagrams skipped as undecodable (lost v9 template or damage).
     pub undecodable_datagrams: u64,
 }
 
@@ -440,14 +427,12 @@ impl VantagePoint {
     ) -> Self {
         let routers: Vec<Router> = (0..cfg.routers).map(|id| Router::new(id, &cfg)).collect();
         let collector = Collector::new_anonymizing(&cfg.anon_key, server_prefixes);
-        let cryptopan = CryptoPan::new(&cfg.anon_key);
         let transport = Transport::new(&cfg);
         VantagePoint {
             router_base: 0,
             total_routers: routers.len(),
             routers,
             collector,
-            cryptopan,
             plan_prefix_len,
             format: cfg.format,
             v9_decoder: V9Decoder::new(),
@@ -495,7 +480,6 @@ impl VantagePoint {
                 total_routers: total,
                 routers,
                 collector: Collector::new_anonymizing(&key, server_prefixes.clone()),
-                cryptopan: CryptoPan::new(&key),
                 plan_prefix_len,
                 format: cfg.format,
                 v9_decoder: V9Decoder::new(),
@@ -552,7 +536,7 @@ impl VantagePoint {
     }
 
     /// Fault-injection statistics: `(datagrams dropped in transport,
-    /// v9 datagrams undecodable due to lost templates)`.
+    /// datagrams undecodable due to lost v9 templates or damage)`.
     pub fn transport_stats(&self) -> (u64, u64) {
         (
             self.transport.dropped_datagrams,
@@ -572,26 +556,27 @@ impl VantagePoint {
         if !transport.delivers() {
             return;
         }
-        match format {
-            ExportFormat::V5 => {
-                collector
-                    .ingest(wire)
-                    .expect("self-produced v5 datagram is valid");
-            }
-            ExportFormat::V9 => {
-                // Engine id = v9 source id (set by the router).
-                let source = u32::from_be_bytes([wire[16], wire[17], wire[18], wire[19]]) as u8;
-                match v9_decoder.decode(wire) {
-                    Ok(records) => collector.ingest_records(records, source),
-                    Err(cwa_netflow::v9::V9Error::UnknownTemplate(_)) => {
-                        // The template announcement was lost; data sets
-                        // stay undecodable until the next re-announcement.
-                        transport.undecodable_datagrams += 1;
-                        collector.note_decode_error();
-                    }
-                    Err(e) => panic!("self-produced v9 datagram invalid: {e}"),
+        // A v9 data set whose template announcement was lost stays
+        // undecodable until the next re-announcement; a damaged datagram
+        // of either format is counted the same way, never a panic.
+        let decoded = match format {
+            // The collector counts its own v5 decode errors.
+            ExportFormat::V5 => collector.ingest(wire).is_ok(),
+            // Engine id = the low byte of the v9 source id (set by the
+            // router).
+            ExportFormat::V9 => match (wire.get(19).copied(), v9_decoder.decode(wire)) {
+                (Some(source), Ok(records)) => {
+                    collector.ingest_records(records, source);
+                    true
                 }
-            }
+                _ => {
+                    collector.note_decode_error();
+                    false
+                }
+            },
+        };
+        if !decoded {
+            transport.undecodable_datagrams += 1;
         }
     }
 
@@ -648,24 +633,17 @@ impl VantagePoint {
     /// Flushes all caches (end of measurement) and returns every
     /// collected, anonymized record.
     pub fn finish(self, final_hour: u32) -> Vec<FlowRecord> {
-        self.finish_with_stats(final_hour).0
-    }
-
-    /// [`VantagePoint::finish`] that also reports the run's aggregate
-    /// cache and transport statistics (captured *after* the final flush,
-    /// so flush evictions are included).
-    pub fn finish_with_stats(self, final_hour: u32) -> (Vec<FlowRecord>, VantageRunStats) {
         let mut records = Vec::new();
-        let stats = self.finish_into(final_hour, &mut records);
-        (records, stats)
+        self.finish_into(final_hour, &mut records);
+        records
     }
 
-    /// Streaming form of [`finish_with_stats`]: flushes all caches,
-    /// drains the remaining records into `sink` (without signalling
-    /// `sink.finish()` — the caller owns the stream's lifecycle) and
-    /// reports the run's aggregate statistics.
-    ///
-    /// [`finish_with_stats`]: VantagePoint::finish_with_stats
+    /// Streaming form of [`finish`](VantagePoint::finish): flushes all
+    /// caches, drains the remaining records into `sink` (without
+    /// signalling `sink.finish()` — the caller owns the stream's
+    /// lifecycle) and reports the run's aggregate cache and transport
+    /// statistics (captured *after* the final flush, so flush evictions
+    /// are included).
     pub fn finish_into(mut self, final_hour: u32, sink: &mut dyn FlowSink) -> VantageRunStats {
         for router in &mut self.routers {
             for wire in router.finish(final_hour) {
@@ -686,28 +664,6 @@ impl VantagePoint {
         };
         self.collector.drain_into(sink);
         stats
-    }
-
-    /// Builds the anonymized side tables from the operator's knowledge.
-    pub fn side_tables(
-        &self,
-        plan: &AddressPlan,
-        geodb: &GeoDb,
-    ) -> (GeoDb, HashMap<u32, IspSideEntry>) {
-        side_tables_with(&self.cryptopan, plan, geodb, None)
-    }
-
-    /// Side tables with the realistic router map: the ground-truth
-    /// "router location" for a prefix is the *serving* router's
-    /// district, which for rural prefixes may be the neighbouring
-    /// district — the imprecision §3 of the paper warns about.
-    pub fn side_tables_routed(
-        &self,
-        plan: &AddressPlan,
-        geodb: &GeoDb,
-        routers: &cwa_geo::RouterMap,
-    ) -> (GeoDb, HashMap<u32, IspSideEntry>) {
-        side_tables_with(&self.cryptopan, plan, geodb, Some(routers))
     }
 
     /// Aggregate cache statistics over all routers.
@@ -1168,12 +1124,8 @@ mod tests {
             },
         );
         let geodb = GeoDb::build(&g, &plan, GeoDbConfig::default());
-        let v = VantagePoint::new(
-            VantageConfig::default(),
-            vec![(Ipv4Addr::new(81, 200, 16, 0), 22)],
-            18,
-        );
-        let (geodb_anon, isp_table) = v.side_tables(&plan, &geodb);
+        let cp = CryptoPan::new(&VantageConfig::default().anon_key);
+        let (geodb_anon, isp_table) = side_tables_with(&cp, &plan, &geodb, None);
         assert_eq!(geodb_anon.len(), geodb.len());
         assert_eq!(isp_table.len(), plan.allocations().len());
 
@@ -1183,7 +1135,6 @@ mod tests {
             .find(|i| i.ground_truth_routers)
             .unwrap()
             .id;
-        let cp = CryptoPan::new(&VantageConfig::default().anon_key);
         for alloc in plan.allocations().iter().take(500) {
             let anon = cwa_geo::geodb::mask(cp.anonymize(alloc.network), 18);
             let entry = isp_table[&anon];
@@ -1192,6 +1143,59 @@ mod tests {
                 assert_eq!(entry.router_district, Some(alloc.district));
             } else {
                 assert_eq!(entry.router_district, None);
+            }
+        }
+    }
+
+    /// A damaged datagram of either wire format is a counted decode
+    /// error, never a panic.
+    #[test]
+    fn truncated_datagrams_are_counted_not_fatal() {
+        for format in [ExportFormat::V5, ExportFormat::V9] {
+            let mut v = VantagePoint::new(
+                VantageConfig {
+                    sampling_interval: 1,
+                    format,
+                    ..VantageConfig::default()
+                },
+                vec![(Ipv4Addr::new(81, 200, 16, 0), 22)],
+                22,
+            );
+            let registry = Arc::new(Registry::new());
+            v.attach_metrics(&registry, 1);
+            v.observe(&event(Ipv4Addr::new(84, 10, 0, 5), 10, 1000));
+            let wires: Vec<bytes::Bytes> = v.routers.iter_mut().flat_map(|r| r.finish(0)).collect();
+            // Any v9 template set arrives intact, so the truncated data
+            // set fails on its own damage.
+            let (wire, intact) = wires.split_last().expect("the flow was exported");
+            for w in intact {
+                VantagePoint::ingest_wire(
+                    &mut v.collector,
+                    &mut v.v9_decoder,
+                    &mut v.transport,
+                    format,
+                    w.clone(),
+                );
+            }
+            assert_eq!(v.transport_stats().1, 0, "{format:?}");
+            for (i, truncated) in [wire.slice(..wire.len() - 1), wire.slice(..10)]
+                .into_iter()
+                .enumerate()
+            {
+                VantagePoint::ingest_wire(
+                    &mut v.collector,
+                    &mut v.v9_decoder,
+                    &mut v.transport,
+                    format,
+                    truncated,
+                );
+                let errors = i as u64 + 1;
+                assert_eq!(v.transport_stats().1, errors, "{format:?}");
+                assert_eq!(
+                    registry.counter("netflow.collector.decode_errors").get(),
+                    errors,
+                    "{format:?}"
+                );
             }
         }
     }

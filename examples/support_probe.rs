@@ -1,7 +1,7 @@
 //! Prints the per-claim verdict table across a ladder of scales, plus
 //! (with `CWA_DEBUG_SUPPORT=1`) the raw per-cell observation counts
 //! the starvation checks read. The `min_support` thresholds in
-//! `cwa-core/src/study.rs` were tuned with this tool — re-run it after
+//! `cwa-core/src/claims.rs` were tuned with this tool — re-run it after
 //! changing the simulation's traffic volume to re-derive them:
 //!
 //! ```sh

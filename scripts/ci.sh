@@ -4,6 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Scrapes endpoint $1 of the server at $ADDR and succeeds iff the scrape
+# succeeds and its body matches pattern $2. The body is captured before
+# grep reads it: in `scrape | grep -q` grep exits at the first match,
+# the scraper's next write fails with a broken pipe, and pipefail turns
+# that into a spurious failure.
+scrape_has() {
+    local body
+    body="$(./target/release/cwa-repro scrape "$ADDR" "$1" 2>/dev/null)" && grep -q -- "$2" <<<"$body"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -70,8 +80,8 @@ name = "starved-tiny-scale"
 scale = 0.004
 EOF
 SWEEP_OUT="$(./target/release/cwa-repro sweep --scenarios "$SWEEP_TOML" --scale 0.01 --json "$SWEEP_JSON_A" 2>/dev/null)"
-echo "$SWEEP_OUT" | grep -q 'starved' || { echo "sweep reported no starved cell for the drained scenario"; exit 1; }
-echo "$SWEEP_OUT" | grep -q 'starved-tiny-scale' || { echo "sweep dropped a scenario row"; exit 1; }
+grep -q 'starved' <<<"$SWEEP_OUT" || { echo "sweep reported no starved cell for the drained scenario"; exit 1; }
+grep -q 'starved-tiny-scale' <<<"$SWEEP_OUT" || { echo "sweep dropped a scenario row"; exit 1; }
 # The survival table must not depend on the shard count.
 ./target/release/cwa-repro sweep --scenarios "$SWEEP_TOML" --scale 0.01 --shards 2 --json "$SWEEP_JSON_B" > /dev/null 2>&1
 cmp -s "$SWEEP_JSON_A" "$SWEEP_JSON_B" || { echo "sweep JSON differs between 1 and 2 shards"; exit 1; }
@@ -120,17 +130,17 @@ done
 # wait for the first counter to land before asserting on content.
 WARM=""
 for _ in $(seq 1 100); do
-    if ./target/release/cwa-repro scrape "$ADDR" /metrics 2>/dev/null | grep -q '^# TYPE '; then
+    if scrape_has /metrics '^# TYPE '; then
         WARM=1
         break
     fi
     sleep 0.1
 done
 [ -n "$WARM" ] || { echo "/metrics never produced a sample"; exit 1; }
-./target/release/cwa-repro scrape "$ADDR" /healthz      | grep -q '"status"'          || { echo "/healthz malformed"; exit 1; }
-./target/release/cwa-repro scrape "$ADDR" /metrics      | grep -q '^# TYPE '          || { echo "/metrics malformed"; exit 1; }
-./target/release/cwa-repro scrape "$ADDR" /metrics.json | grep -q '"cwa-obs/v1"'      || { echo "/metrics.json malformed"; exit 1; }
-./target/release/cwa-repro scrape "$ADDR" /progress     | grep -q '"cwa-progress/v1"' || { echo "/progress malformed"; exit 1; }
+scrape_has /healthz      '"status"'          || { echo "/healthz malformed"; exit 1; }
+scrape_has /metrics      '^# TYPE '          || { echo "/metrics malformed"; exit 1; }
+scrape_has /metrics.json '"cwa-obs/v1"'      || { echo "/metrics.json malformed"; exit 1; }
+scrape_has /progress     '"cwa-progress/v1"' || { echo "/progress malformed"; exit 1; }
 wait "$SERVE_PID"
 python3 - "$HB_JSONL" <<'EOF'
 import json, sys
@@ -177,7 +187,7 @@ for _ in $(seq 1 150); do
     sleep 0.1
 done
 [ -n "$GOT" ] || { echo "/report never published"; exit 1; }
-./target/release/cwa-repro scrape "$ADDR" /figures/adoption | grep -q '"cwa-live-figure/v1"' || { echo "/figures/adoption malformed"; exit 1; }
+scrape_has /figures/adoption '"cwa-live-figure/v1"' || { echo "/figures/adoption malformed"; exit 1; }
 # The dashboard must be one self-contained page — no external assets —
 # and must name every endpoint it polls, so a stale copy that predates
 # an endpoint rename fails here rather than silently showing blanks.

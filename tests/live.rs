@@ -232,3 +232,90 @@ fn paced_replay_publishes_advancing_documents() {
     let body = live.report().expect("report published");
     assert!(body.contains("\"done\": true"));
 }
+
+/// The live window verdicts are the study's claim table judged over the
+/// window: on an 11-day replay the default 14-day window still holds
+/// every day, so the day-anchored claims (C1, C2, C6a, C6c) read exactly
+/// what the cumulative report reads, and the geo claims (C5a, C7c) read
+/// the geo tables over the window's days [0, 11) — release day included,
+/// unlike the report's June 16–25 map.
+#[test]
+fn window_verdicts_judge_through_the_study_claim_table() {
+    use cwa_repro::analysis::filter::FlowFilter;
+    use cwa_repro::analysis::geoloc::{GeolocationPipeline, IspInfo};
+    use cwa_repro::simnet::Simulation;
+
+    let config = StudyConfig::test_small();
+    assert_eq!(config.sim.days, 11);
+    let live = Arc::new(LiveSnapshot::new());
+    let opts = LiveOptions {
+        publish: Some(Arc::clone(&live)),
+        ..LiveOptions::default()
+    };
+    Study::new(config)
+        .run_live(&opts)
+        .expect("small study produces matching flows");
+    let body = live.report().expect("final report published");
+    let envelope: serde_json::Value = serde_json::from_str(&body).expect("valid JSON");
+    let window = envelope
+        .get("window_verdicts")
+        .and_then(|v| v.as_array())
+        .expect("window_verdicts present");
+    let cumulative = envelope
+        .get("report")
+        .and_then(|r| r.get("claims"))
+        .and_then(|v| v.as_array())
+        .expect("report claims present");
+    let find = |claims: &[serde_json::Value], id: &str| {
+        claims
+            .iter()
+            .find(|c| c.get("id").and_then(|v| v.as_str()) == Some(id))
+            .cloned()
+            .unwrap_or_else(|| panic!("{id} missing from {claims:?}"))
+    };
+
+    for id in [
+        "C1MatchingFlows",
+        "C2ReleaseJump",
+        "C6aNrwVsRest",
+        "C6cBerlinSingleIsp",
+    ] {
+        let (w, c) = (find(window, id), find(cumulative, id));
+        assert_eq!(w.get("measured"), c.get("measured"), "{id} measured");
+        assert_eq!(w.get("verdict"), c.get("verdict"), "{id} verdict");
+    }
+
+    let out = Simulation::new(config.sim).run();
+    let filter = FlowFilter::cwa(out.cdn.service_prefixes.to_vec());
+    let isp_table = out
+        .isp_table
+        .iter()
+        .map(|(&net, e)| {
+            let info = IspInfo {
+                isp: e.isp.0,
+                router_district: e.router_district,
+            };
+            (net, info)
+        })
+        .collect();
+    let pipeline = GeolocationPipeline::new(
+        &out.germany,
+        &out.geodb,
+        &isp_table,
+        out.config.plan.prefix_len,
+    );
+    let geo = pipeline.run(&out.records, &filter, 0, 11);
+    for (id, expected) in [
+        ("C5aCoverage10Day", geo.coverage(1)),
+        ("C7cGroundTruthShare", geo.ground_truth_share()),
+    ] {
+        let measured = match find(window, id).get("measured") {
+            Some(serde_json::Value::Num(n)) => n.as_f64(),
+            other => panic!("{id} measured is not a number: {other:?}"),
+        };
+        assert!(
+            (measured - expected).abs() < 1e-12,
+            "{id}: window {measured} vs geo[0, 11) {expected}"
+        );
+    }
+}
